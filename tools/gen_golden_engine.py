@@ -1,10 +1,18 @@
 #!/usr/bin/env python3
-"""Regenerate or verify tests/engine/golden_engine_results.json.
+"""Regenerate or verify the engine's golden fingerprint files.
 
-The golden file pins exact run measurements from the seed engine so that
-hot-path optimizations can be verified *bit-identical* (same event
-ordering, same FIFO/packing tie-breaks, same float arithmetic). Rewrite
-it only when a semantic engine change is intended and reviewed:
+Two files pin exact run measurements so that engine changes can be
+verified *bit-identical* (same event ordering, same FIFO/packing
+tie-breaks, same float arithmetic):
+
+- ``tests/engine/golden_engine_results.json`` — 66 single-workflow runs;
+- ``tests/fleet/golden_fleet_results.json`` — 36 fleet runs: allocation
+  policy x fleet autoscaler x arrival process x chaos on/off, each
+  pinned by the SHA-256 of its ``to_summary_json()`` bytes (every
+  per-tenant field and ``events_processed`` included).
+
+Rewrite them only when a semantic engine change is intended and
+reviewed:
 
     PYTHONPATH=src python tools/gen_golden_engine.py            # rewrite
     PYTHONPATH=src python tools/gen_golden_engine.py --check    # verify
@@ -12,12 +20,12 @@ it only when a semantic engine change is intended and reviewed:
     PYTHONPATH=src python tools/gen_golden_engine.py --check --no-chaos
     PYTHONPATH=src python tools/gen_golden_engine.py --check --validate
 
-``--check`` re-runs every scenario and exits nonzero on any fingerprint
-drift (the CI gate over the full matrix; the unit suite samples a fast
-subset). ``--traced`` attaches a telemetry tracer to every run, proving
+``--check`` re-runs every scenario of both matrices and exits nonzero on
+any fingerprint drift (the CI gate over the full matrices; the unit
+suite samples a fast subset). ``--traced`` attaches a telemetry tracer to every run, proving
 tracing is pure observation — fingerprints must not move. ``--no-chaos``
 passes an all-disabled :class:`~repro.cloud.faults.ChaosSpec` to every
-run, proving the disabled chaos path is zero-cost — fingerprints must
+run without chaos (fleet cells with chaos on keep their spec), proving the disabled chaos path is zero-cost — fingerprints must
 not move either. ``--validate`` attaches a collect-mode runtime
 invariant checker (:mod:`repro.validate`) to every run: fingerprints
 must not move AND every run must report zero violations. ``--diff-out
@@ -28,6 +36,7 @@ upload it as an artifact.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -39,14 +48,25 @@ from repro.autoscalers import (
     full_site,
 )
 from repro.cloud import exogeni_site
+from repro.cloud.faults import parse_chaos_spec
 from repro.engine.faults import RandomFaults
 from repro.engine.simulator import Simulation
 from repro.experiments.harness import default_transfer_model
+from repro.fleet import (
+    FleetSimulation,
+    allocation_policy,
+    fleet_autoscaler,
+    fleet_workload_catalog,
+    make_arrivals,
+)
 from repro.workloads import table1_specs
 
-OUT = Path(__file__).resolve().parent.parent / "tests" / "engine" / (
-    "golden_engine_results.json"
-)
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "tests" / "engine" / "golden_engine_results.json"
+FLEET_OUT = ROOT / "tests" / "fleet" / "golden_fleet_results.json"
+
+#: the chaos-on column of the fleet matrix: every fault class at once
+FLEET_CHAOS = "revocations=0.5,stragglers=0.3,pfail=0.2,blackouts=0.2"
 
 
 def scenarios(tracer_factory=None, chaos=None, validate_factory=None):
@@ -120,6 +140,55 @@ def scenarios(tracer_factory=None, chaos=None, validate_factory=None):
             validate=validate_factory() if validate_factory is not None else None,
             **kwargs,
         )
+
+
+def fleet_scenarios(tracer_factory=None, chaos=None, validate_factory=None):
+    """Fleet scenario name -> FleetSimulation factory: allocation policy x
+    fleet autoscaler x arrival process x chaos on/off, six tenants of the
+    default workload mix on the ExoGENI site.
+
+    The factories mean what they mean for :func:`scenarios`; ``chaos``
+    replaces only the chaos-off column (a chaos-on cell keeps its spec,
+    or it would no longer be the cell it names)."""
+    site = exogeni_site()
+    catalog = fleet_workload_catalog()
+    faults = parse_chaos_spec(FLEET_CHAOS)
+    for policy in ("fifo", "fair-share", "priority"):
+        for autoscaler in ("global-wire", "global-static", "global-reactive"):
+            for arrival in ("poisson", "bursty"):
+                for chaos_on in (False, True):
+                    arrivals = make_arrivals(arrival, n=6, rate=12.0, burst_size=3)
+                    name = (
+                        f"{policy}/{autoscaler}/{arrival}/"
+                        f"{'chaos' if chaos_on else 'calm'}"
+                    )
+                    yield name, FleetSimulation(
+                        arrivals.generate(7),
+                        catalog,
+                        site,
+                        fleet_autoscaler(autoscaler),
+                        allocation_policy(policy),
+                        900.0,
+                        transfer_model=default_transfer_model(),
+                        seed=7,
+                        tracer=tracer_factory() if tracer_factory is not None else None,
+                        chaos=faults if chaos_on else chaos,
+                        validate=(
+                            validate_factory() if validate_factory is not None else None
+                        ),
+                    )
+
+
+def fleet_fingerprint(result) -> dict:
+    """Exact fingerprint of one fleet run: the SHA-256 of its summary
+    bytes, plus a few readable fields to make drift reports legible."""
+    summary = result.to_summary_json().encode("utf-8")
+    return {
+        "summary_sha256": hashlib.sha256(summary).hexdigest(),
+        "events_processed": result.events_processed,
+        "makespan": result.makespan.hex(),
+        "total_cost": result.total_cost.hex(),
+    }
 
 
 def fingerprint(result) -> dict:
@@ -196,14 +265,20 @@ def main(argv=None) -> int:
 
         validate_factory = lambda: InvariantChecker(mode="collect")  # noqa: E731
 
-    payload = {}
+    matrices = (
+        (OUT, scenarios, fingerprint),
+        (FLEET_OUT, fleet_scenarios, fleet_fingerprint),
+    )
+    payloads = {}
     violations = {}
-    for name, sim in scenarios(tracer_factory, chaos, validate_factory):
-        payload[name] = fingerprint(sim.run())
-        if args.validate and sim.validator.violations:
-            violations[name] = sim.validator.violations
-        if not args.check:
-            print(f"  {name}")
+    for out, make, fingerprint_of in matrices:
+        payload = payloads[out] = {}
+        for name, sim in make(tracer_factory, chaos, validate_factory):
+            payload[name] = fingerprint_of(sim.run())
+            if args.validate and sim.validator.violations:
+                violations[name] = sim.validator.violations
+            if not args.check:
+                print(f"  {name}")
 
     if violations:
         print(f"FAIL: {len(violations)} scenario(s) reported violations:")
@@ -214,7 +289,11 @@ def main(argv=None) -> int:
         return 1
 
     if args.check:
-        committed = json.loads(OUT.read_text(encoding="utf-8"))
+        payload = {}
+        committed = {}
+        for out, matrix in payloads.items():
+            payload.update(matrix)
+            committed.update(json.loads(out.read_text(encoding="utf-8")))
         drifted = [
             name
             for name in sorted(set(payload) | set(committed))
@@ -250,8 +329,9 @@ def main(argv=None) -> int:
         print(f"ok: {len(payload)} golden scenarios bit-identical ({mode})")
         return 0
 
-    OUT.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", "utf-8")
-    print(f"wrote {len(payload)} scenarios to {OUT}")
+    for out, payload in payloads.items():
+        out.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", "utf-8")
+        print(f"wrote {len(payload)} scenarios to {out}")
     return 0
 
 
