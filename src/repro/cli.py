@@ -569,7 +569,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                 trace_path=args.trace,
                 chaos=chaos,
                 validate=args.validate,
-                shards=args.shards,
                 checkpoint_every=args.checkpoint_every,
                 checkpoint_path=args.checkpoint,
                 stop_after_checkpoint=args.stop_after_checkpoint,
@@ -671,8 +670,8 @@ def cmd_trace_summarize(args: argparse.Namespace) -> int:
 
     try:
         if Path(args.file).is_dir():
-            # A multi-shard or multi-run trace directory: merge every
-            # per-shard JSONL in timestamp order before summarizing.
+            # A multi-run trace directory: merge every per-run JSONL in
+            # timestamp order before summarizing.
             records = read_jsonl_dir(args.file)
         else:
             records = read_jsonl(args.file)
@@ -1157,13 +1156,6 @@ def build_parser() -> argparse.ArgumentParser:
         "on the first violated engine invariant)",
     )
     fleet.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=1,
-        help="partition the event queue across this many per-site shards "
-        "(bit-identical to 1; see docs/fleet.md)",
-    )
-    fleet.add_argument(
         "--checkpoint-every",
         type=_positive_int,
         metavar="N",
@@ -1258,7 +1250,7 @@ def build_parser() -> argparse.ArgumentParser:
     summarize.add_argument(
         "file",
         help="JSONL trace written by run --trace, or a directory of "
-        "per-shard *.jsonl traces (merged in timestamp order)",
+        "per-run *.jsonl traces (merged in timestamp order)",
     )
     summarize.set_defaults(handler=cmd_trace_summarize)
 

@@ -181,8 +181,12 @@ class Instance:
         if self._pool is not None:
             self._pool._on_assign(self, task_id)  # type: ignore[attr-defined]
 
-    def release(self, task_id: str, now: float | None = None) -> None:
-        """Vacate the slot held by ``task_id``."""
+    def release(self, task_id: str, now: float | None = None) -> float:
+        """Vacate the slot held by ``task_id``.
+
+        Returns the slot-seconds the occupancy added to
+        :attr:`busy_slot_seconds` (0.0 for an untimed pair).
+        """
         try:
             self.occupants.remove(task_id)
         except KeyError:
@@ -190,10 +194,13 @@ class Instance:
                 f"task {task_id} does not occupy instance {self.instance_id}"
             ) from None
         assigned_at = self._assign_times.pop(task_id, None)
+        busy = 0.0
         if now is not None and assigned_at is not None:
-            self.busy_slot_seconds += max(0.0, now - assigned_at)
+            busy = max(0.0, now - assigned_at)
+            self.busy_slot_seconds += busy
         if self._pool is not None:
             self._pool._on_release(self, task_id)  # type: ignore[attr-defined]
+        return busy
 
     def uptime(self, now: float) -> float:
         """Seconds of billable uptime as of ``now`` (0 if never started)."""

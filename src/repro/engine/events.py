@@ -162,25 +162,13 @@ class EventQueue:
 
     def peek_time(self) -> float | None:
         """Time of the earliest pending event, or None when empty."""
-        key = self.peek_key()
-        return key[0] if key is not None else None
-
-    def peek_key(self) -> tuple[float, int, int] | None:
-        """Full ordering key ``(time, priority, seq)`` of the earliest
-        pending event, or None when empty.
-
-        This is what a :class:`~repro.fleet.shard.ShardedEventQueue`
-        compares across shards: the key is globally unique (``seq`` comes
-        from a shared counter), so a K-way merge over per-shard heads
-        reproduces the single-queue total order exactly.
-        """
         while self._heap:
-            time, priority, seq, event = self._heap[0]
-            if event.seq in self._cancelled:
+            time, _, seq, _ = self._heap[0]
+            if seq in self._cancelled:
                 heapq.heappop(self._heap)
-                self._cancelled.discard(event.seq)
+                self._cancelled.discard(seq)
                 continue
-            return (time, priority, seq)
+            return time
         return None
 
     def __len__(self) -> int:

@@ -15,11 +15,11 @@ submission schedule is a pure function of ``(process, seed)``.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Sequence
 
+from repro.engine.tenant import Submission
 from repro.util.rng import derive_seed, spawn_rng
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import check_positive
 
 __all__ = [
     "ArrivalProcess",
@@ -28,30 +28,6 @@ __all__ = [
     "Submission",
     "TraceArrivals",
 ]
-
-
-@dataclass(frozen=True)
-class Submission:
-    """One tenant's workflow submission.
-
-    ``workload`` names the workload to realize (resolved by the fleet
-    engine against its workload mapping); ``workflow_seed`` realizes the
-    spec so two tenants submitting the same workload still run distinct
-    datasets (the paper's cross-run variability, Observation 2).
-    ``priority`` is consumed by the priority allocation policy (lower
-    fires first); the other policies ignore it.
-    """
-
-    tenant_id: str
-    workload: str
-    submit_time: float
-    workflow_seed: int
-    priority: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.tenant_id:
-            raise ValueError("tenant_id must be non-empty")
-        check_non_negative("submit_time", self.submit_time)
 
 
 class ArrivalProcess(ABC):

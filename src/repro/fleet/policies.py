@@ -14,7 +14,7 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.fleet.tenant import TenantRun
+    from repro.engine.tenant import TenantRun
 
 __all__ = [
     "AllocationPolicy",

@@ -1,13 +1,39 @@
-"""Aggregate result of a fleet run."""
+"""Per-tenant and aggregate results of a fleet run."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
 
-from repro.fleet.tenant import TenantResult
+__all__ = ["FleetResult", "TenantResult"]
 
-__all__ = ["FleetResult"]
+
+@dataclass(frozen=True)
+class TenantResult:
+    """Final per-tenant metrics of a fleet run.
+
+    ``slowdown`` is the workflow's response time (finish − submit,
+    including any admission wait) normalized by its zero-contention
+    critical path length — the standard workload-of-workflows fairness
+    metric. ``attributed_*`` split the shared bill proportionally to
+    each tenant's busy slot-seconds on every instance.
+    """
+
+    tenant_id: str
+    workload: str
+    priority: int
+    submitted_at: float
+    finished_at: float
+    makespan: float
+    critical_path: float
+    slowdown: float
+    queue_wait_mean: float
+    tasks: int
+    restarts: int
+    attributed_cost: float
+    attributed_units: float
+    attributed_wasted_seconds: float
+    completed: bool
 
 
 @dataclass(frozen=True)

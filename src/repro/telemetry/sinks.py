@@ -170,7 +170,7 @@ def read_jsonl(path: str | Path) -> list[TraceRecord]:
 def read_jsonl_dir(path: str | Path) -> list[TraceRecord]:
     """Merge every ``*.jsonl`` trace in a directory, in timestamp order.
 
-    A sharded or multi-run campaign leaves one JSONL file per shard/run;
+    A multi-run campaign leaves one JSONL file per run;
     this stitches them into a single record sequence the summarizer can
     consume. Records sort by their ``now`` field; ``run_meta`` records
     (no timestamp) lead and ``run_summary`` records trail, and the sort

@@ -3,7 +3,7 @@
 The contract under test: a run interrupted at a controller-tick
 boundary and resumed from its checkpoint finishes *byte-identically* to
 a run that was never interrupted — same summary JSON, same telemetry
-bytes — for plain, chaotic, sharded, and validated runs alike.
+bytes — for plain, chaotic, and validated runs alike.
 """
 
 from __future__ import annotations
@@ -116,12 +116,6 @@ class TestFleetResume:
 
     def test_with_invariant_checker(self, small_fleet, tmp_path):
         self.assert_resume_matches(small_fleet, tmp_path, validate=True)
-
-    def test_sharded(self, small_fleet, tmp_path):
-        straight = small_fleet()
-        path = interrupted_checkpoint(small_fleet, tmp_path, shards=2)
-        resumed = resume_fleet(path)
-        assert resumed.to_summary_json() == straight.to_summary_json()
 
     def test_trace_bytes_identical(self, small_fleet, tmp_path):
         straight = tmp_path / "straight.jsonl"
