@@ -1,9 +1,10 @@
 """Workflow execution engine (Pegasus WMS / HTCondor stand-in).
 
-A deterministic discrete-event simulator that runs one workflow on an
+A deterministic discrete-event simulator that runs workflows on an
 elastic pool of simulated cloud instances, with kickstart-style monitoring,
 FIFO scheduling with the paper's first-five stage boost, and a pluggable
-autoscaler invoked on the MAPE cadence.
+autoscaler invoked on the MAPE cadence. One core (:mod:`repro.engine.core`)
+runs every run; :class:`Simulation` is its single-workflow front-end.
 """
 
 from repro.engine.control import (

@@ -22,7 +22,13 @@ from repro.engine.master import FrameworkMaster, TaskExecState
 from repro.engine.monitor import Monitor
 from repro.telemetry.records import TickTelemetry
 
-__all__ = ["Autoscaler", "Observation", "ScalingDecision", "TerminationOrder"]
+__all__ = [
+    "Autoscaler",
+    "Observation",
+    "PoolObservation",
+    "ScalingDecision",
+    "TerminationOrder",
+]
 
 
 @dataclass(frozen=True)
@@ -58,9 +64,9 @@ class ScalingDecision:
 NO_CHANGE = ScalingDecision()
 
 
-@dataclass
-class Observation:
-    """Snapshot handed to the autoscaler at a MAPE tick.
+@dataclass(kw_only=True)
+class PoolObservation:
+    """What every control tick observes of the shared pool.
 
     ``window_start`` is the time of the previous tick, so
     ``monitor.transfer_times_between(window_start, now)`` yields exactly
@@ -72,13 +78,9 @@ class Observation:
 
     now: float
     window_start: float
-    workflow: Workflow
-    master: FrameworkMaster
-    monitor: Monitor
     pool: InstancePool
     billing: BillingModel
     site: CloudSite
-    queued_task_ids: tuple[str, ...]
     draining_ids: frozenset[str] = field(default_factory=frozenset)
     #: True when cloud-fault injection blacked out this tick's kickstart
     #: records: the monitor's fresh interval data must be treated as
@@ -86,9 +88,6 @@ class Observation:
     #: last-known model (:mod:`repro.cloud.faults`)
     monitor_blackout: bool = False
 
-    # ------------------------------------------------------------------
-    # convenience views shared by every policy
-    # ------------------------------------------------------------------
     @property
     def charging_unit(self) -> float:
         return self.billing.charging_unit
@@ -111,19 +110,34 @@ class Observation:
         Counts RUNNING (minus draining, which will be gone) plus PENDING
         (already ordered, will arrive) instances.
         """
-        running = len(self.steerable_instances())
-        pending = len(self.pool.pending())
-        return running + pending
+        return len(self.steerable_instances()) + len(self.pool.pending())
+
+    def masters(self) -> tuple[FrameworkMaster, ...]:
+        """The framework masters of the observed workflows."""
+        raise NotImplementedError
 
     def runnable_task_count(self) -> int:
         """Tasks ready or in flight — the reactive policies' load signal."""
-        master = self.master
-        return (
+        return sum(
             master.count(TaskExecState.READY)
             + master.count(TaskExecState.STAGING_IN)
             + master.count(TaskExecState.EXECUTING)
             + master.count(TaskExecState.STAGING_OUT)
+            for master in self.masters()
         )
+
+
+@dataclass(kw_only=True)
+class Observation(PoolObservation):
+    """Snapshot handed to a single run's autoscaler at a MAPE tick."""
+
+    workflow: Workflow
+    master: FrameworkMaster
+    monitor: Monitor
+    queued_task_ids: tuple[str, ...]
+
+    def masters(self) -> tuple[FrameworkMaster, ...]:
+        return (self.master,)
 
     def restart_cost(self, instance: Instance) -> float:
         """Max sunk occupancy of any task on ``instance`` as of now.

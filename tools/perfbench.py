@@ -19,16 +19,12 @@ fleet's ``fleet_controller_us_per_tick``) grew more than
 ``BENCH_engine.json`` — a coarse tripwire for accidentally reverting a
 hot-path optimization, deliberately tolerant of machine-to-machine noise.
 
-Two further gates ride on the same threshold:
-
-* fleet throughput at 1/2/4 shards (``fleet_shards``), so the sharded
-  K-way merge cannot silently grow per-event overhead; and
-* the campaign ``parallel_speedup``, measured per executor backend
-  (``process`` and ``workqueue``, each against the same serial
-  reference) — *skipped with a GitHub Actions ``::notice`` when the
-  host exposes fewer visible CPUs than campaign workers*, because a
-  speedup measured on an oversubscribed host reflects queueing, not
-  scaling, and gating on it flakes. The absolute ≥1.2x floor at
+A further gate rides on the same threshold: the campaign
+``parallel_speedup``, measured per executor backend (``process`` and
+``workqueue``, each against the same serial reference) — *skipped with
+a GitHub Actions ``::notice`` when the host exposes fewer visible CPUs
+than campaign workers*, because a speedup measured on an oversubscribed
+host reflects queueing, not scaling, and gating on it flakes. The absolute ≥1.2x floor at
   ``--jobs 2`` lives in ``benchmarks/bench_fanout.py``, which CI runs
   on a multi-core runner.
 """
@@ -91,12 +87,6 @@ SEED_CONTROLLER_US = {
     "genome-L/wire/u60": 9744.9,
     "genome-L/wire/u900": 10900.7,
 }
-
-#: Shard-scaling scenario: one multi-tenant fleet run per shard count.
-#: All shard counts replay the identical arrival pattern, so the event
-#: counts must match exactly (sharding is bit-identical by construction).
-FLEET_SHARD_COUNTS = (1, 2, 4)
-FLEET_SHARD_TENANTS = 48
 
 #: Small campaign matrix for the jobs=1 vs jobs=N wall-clock comparison.
 CAMPAIGN_WORKLOADS = ("tpch1-S", "tpch6-S", "pagerank-S", "genome-S")
@@ -244,49 +234,6 @@ def measure_fleet_controller(repetitions: int) -> dict:
     return out
 
 
-def measure_fleet_shards(repetitions: int) -> dict:
-    """Fleet engine throughput at each of ``FLEET_SHARD_COUNTS`` shards.
-
-    Sharding is a determinism/architecture feature, not a parallelism
-    one — every shard runs on the driving thread — so the interesting
-    number is how much per-event overhead the K-way merge adds, and the
-    gate trips when that overhead grows, not when speedup shrinks.
-    """
-    from repro.fleet import make_arrivals, run_fleet
-
-    per_shards: dict[str, float] = {}
-    events: int | None = None
-    for shards in FLEET_SHARD_COUNTS:
-        best = None
-        result = None
-        for _ in range(repetitions):
-            arrivals = make_arrivals(
-                "poisson", rate=12.0, n=FLEET_SHARD_TENANTS
-            )
-            start = time.perf_counter()
-            result = run_fleet(
-                arrivals=arrivals, charging_unit=900.0, seed=0, shards=shards
-            )
-            wall = time.perf_counter() - start
-            best = wall if best is None else min(best, wall)
-        assert result is not None and best is not None
-        if events is None:
-            events = result.events_processed
-        elif events != result.events_processed:
-            raise RuntimeError(
-                f"sharded fleet drifted: shards={shards} processed "
-                f"{result.events_processed} events, unsharded {events}"
-            )
-        key = f"shards{shards}"
-        per_shards[key] = round(result.events_processed / best, 1)
-        print(f"  fleet {key}: {per_shards[key]:.0f} ev/s")
-    return {
-        "tenants": FLEET_SHARD_TENANTS,
-        "events": events,
-        "events_per_sec_by_shards": per_shards,
-    }
-
-
 def run_measure(jobs: int, repetitions: int) -> dict:
     import tempfile
 
@@ -294,8 +241,6 @@ def run_measure(jobs: int, repetitions: int) -> dict:
     engine = measure_scenarios(repetitions)
     print("fleet controller:")
     fleet = measure_fleet_controller(repetitions)
-    print("fleet shard scaling:")
-    fleet_shards = measure_fleet_shards(repetitions)
     print("campaign:")
     with tempfile.TemporaryDirectory() as tmp:
         campaign = measure_campaign(jobs, Path(tmp))
@@ -316,7 +261,6 @@ def run_measure(jobs: int, repetitions: int) -> dict:
         "host": host_info(jobs),
         "engine": engine,
         "fleet": fleet,
-        "fleet_shards": fleet_shards,
         "seed_baseline_wall_s": SEED_WALL_S,
         "seed_controller_us_per_tick": SEED_CONTROLLER_US,
         "speedup_vs_seed": speedups,
@@ -384,21 +328,6 @@ def run_check(
         )
         if fratio > 1.0 + ctl_threshold:
             failures.append("fleet (controller)")
-    base_shards = committed.get("fleet_shards", {}).get("events_per_sec_by_shards")
-    if base_shards:
-        print("fleet shard scaling:")
-        now_shards = measure_fleet_shards(repetitions)["events_per_sec_by_shards"]
-        for key in sorted(base_shards):
-            if key not in now_shards:
-                continue
-            sratio = now_shards[key] / base_shards[key]
-            sstatus = "ok" if sratio >= 1.0 - threshold else "REGRESSED"
-            print(
-                f"  fleet {key}: {now_shards[key]:.0f} ev/s vs baseline "
-                f"{base_shards[key]:.0f} ({sratio:.2f}x) {sstatus}"
-            )
-            if sratio < 1.0 - threshold:
-                failures.append(f"fleet ({key})")
     base_campaign = committed.get("campaign", {})
     base_speedup = base_campaign.get("parallel_speedup")
     bench_jobs = int(base_campaign.get("jobs", jobs))
