@@ -41,7 +41,7 @@ class TestFastPathStructure:
         sim = make_sim(small_site)
         result = sim.run()
         # the ready-time map is only populated on the traced path
-        assert sim._ready_at == {}
+        assert sim.tenants[0].ready_at == {}
         # ... so untraced attempts never compute queue waits
         assert all(
             a.queue_wait is None for a in result.monitor.all_attempts()
