@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.config import WireConfig
 from repro.core.lookahead import LookaheadSimulator, VirtualInstance
 from repro.core.predictor import TaskPredictor
-from repro.core.runstate import PredictionPolicy, RunState, TaskEstimate
+from repro.core.runstate import PredictionPolicy, RunState
 from repro.core.steering import SteeringPolicy, resize_pool, steer_inputs_for
 from repro.dag.workflow import Workflow
 from repro.engine.control import NO_CHANGE, Autoscaler, Observation, ScalingDecision
@@ -233,17 +233,13 @@ class MapeController(Autoscaler):
             self._last_slots,
             tail_threshold_fraction=self._steering.restart_threshold_fraction,
         )
-        by_stage: dict[str, list[TaskEstimate]] = {}
-        for estimate in run_state.estimates.values():
-            if estimate.phase is TaskExecState.COMPLETED:
-                continue
-            by_stage.setdefault(estimate.stage_id, []).append(estimate)
+        by_stage = self._stage_estimates(run_state.estimates)
         predictions = []
         for stage_id in sorted(by_stage):
             estimates = by_stage[stage_id]
             counts: dict[PredictionPolicy, int] = {}
-            for estimate in estimates:
-                counts[estimate.policy] = counts.get(estimate.policy, 0) + 1
+            for _, policy in estimates:
+                counts[policy] = counts.get(policy, 0) + 1
             # most frequent policy wins; ties break toward the lower
             # policy number (the paper's rule order)
             dominant = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
@@ -252,8 +248,7 @@ class MapeController(Autoscaler):
                     stage_id=stage_id,
                     model=dominant.name.lower(),
                     n_tasks=len(estimates),
-                    mean_estimate=sum(e.exec_estimate for e in estimates)
-                    / len(estimates),
+                    mean_estimate=sum(e for e, _ in estimates) / len(estimates),
                 )
             )
         return TickTelemetry(
@@ -263,6 +258,37 @@ class MapeController(Autoscaler):
             transfer_estimate=run_state.transfer_estimate,
             stage_predictions=tuple(predictions),
         )
+
+    def _stage_estimates(
+        self, estimates
+    ) -> dict[str, list[tuple[float, PredictionPolicy]]]:
+        """``(exec_estimate, policy)`` of every incomplete task, grouped by
+        stage, each list in the mapping's (topological) order.
+
+        The predictor's lazy mapping is read through its phase snapshot
+        and :meth:`exec_of`, so completed tasks are skipped and no
+        :class:`TaskEstimate` is built; a plain-dict run state (tests,
+        custom predictors) takes the materialized loop.
+        """
+        by_stage: dict[str, list[tuple[float, PredictionPolicy]]] = {}
+        completed = TaskExecState.COMPLETED
+        phases = getattr(estimates, "phases_map", None)
+        if phases is not None:
+            assert self._workflow is not None
+            stage_of = self._workflow.stage_of
+            exec_of = estimates.exec_of
+            for task_id in estimates:
+                if phases[task_id] is not completed:
+                    by_stage.setdefault(stage_of[task_id], []).append(
+                        exec_of(task_id)
+                    )
+            return by_stage
+        for estimate in estimates.values():
+            if estimate.phase is not completed:
+                by_stage.setdefault(estimate.stage_id, []).append(
+                    (estimate.exec_estimate, estimate.policy)
+                )
+        return by_stage
 
     # ------------------------------------------------------------------
     def state_size_bytes(self) -> int | None:

@@ -489,6 +489,23 @@ class _LazyEstimates(MutableMapping):
                 append(self._materialize(task_id).remaining_occupancy)
         return out
 
+    def exec_of(self, task_id: str) -> tuple[float, PredictionPolicy]:
+        """``(e.exec_estimate, e.policy)`` of ``e = self[task_id]`` without
+        materializing ``e``.
+
+        Like :meth:`remaining_of`, an estimate already in the mapping (a
+        materialized or ``__setitem__``-assigned one) answers first; the
+        tick telemetry reads every incomplete task through this.
+        """
+        cached = self._data.get(task_id)
+        if cached is not None:
+            return cached.exec_estimate, cached.policy
+        phase = self._phases[task_id]
+        if phase is TaskExecState.BLOCKED or phase is TaskExecState.READY:
+            return self._eval(task_id, phase)
+        estimate = self._materialize(task_id)
+        return estimate.exec_estimate, estimate.policy
+
     def phase_of(self, task_id: str) -> TaskExecState:
         """``self[task_id].phase`` without materializing."""
         return self._phases[task_id]

@@ -15,6 +15,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.engine.master import TaskExecState
+from repro.util.pickling import pickle_by_slots
 
 __all__ = ["PredictionPolicy", "RunState", "TaskEstimate"]
 
@@ -34,6 +35,7 @@ class PredictionPolicy(enum.IntEnum):
     OGD = 5
 
 
+@pickle_by_slots
 @dataclass(frozen=True, slots=True)
 class TaskEstimate:
     """One task's annotation in the run state.

@@ -18,6 +18,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.util.pickling import pickle_by_slots
+
 __all__ = ["Event", "EventKind", "EventQueue"]
 
 
@@ -53,6 +55,7 @@ _PRIORITY[EventKind.INSTANCE_REVOKED] = 1
 _PRIORITY[EventKind.CONTROLLER_TICK] = 2
 
 
+@pickle_by_slots
 @dataclass(frozen=True, slots=True)
 class Event:
     """One scheduled occurrence.

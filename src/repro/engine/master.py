@@ -94,11 +94,13 @@ class FrameworkMaster:
         return sum(1 for s in self._state.values() if s is state)
 
     def state_counts(self) -> dict[TaskExecState, int]:
-        """Tasks per lifecycle state, in one pass (telemetry snapshot)."""
-        counts = dict.fromkeys(TaskExecState, 0)
-        for state in self._state.values():
-            counts[state] += 1
-        return counts
+        """Tasks per lifecycle state, every state keyed (telemetry snapshot).
+
+        ``list.count`` matches by identity in C, which beats hashing an
+        enum per task in a Python loop at every traced tick.
+        """
+        states = list(self._state.values())
+        return {state: states.count(state) for state in TaskExecState}
 
     def in_flight_tasks(self) -> list[str]:
         """Ids of tasks currently occupying slots, sorted."""

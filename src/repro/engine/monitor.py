@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable
 
 __all__ = ["Monitor", "TaskAttempt"]
@@ -28,6 +29,10 @@ __all__ = ["Monitor", "TaskAttempt"]
 # listed them (stage-in before stage-out within one attempt)
 _OBS_STAGE_IN = 0
 _OBS_STAGE_OUT = 1
+#: keys over an observation (finish_time, task_order, attempt, kind,
+#: duration): its finish time, and the historical scan order
+_OBS_TIME = itemgetter(0)
+_OBS_ATTEMPT_ORDER = itemgetter(1, 2, 3)
 
 
 @dataclass(slots=True)
@@ -336,11 +341,11 @@ class Monitor:
         """
         obs = self._transfer_obs
         if not self._transfer_obs_sorted:
-            obs.sort(key=lambda o: o[0])
+            obs.sort(key=_OBS_TIME)
             self._transfer_obs_sorted = True
-        lo = bisect_right(obs, t0, key=lambda o: o[0])
-        hi = bisect_right(obs, t1, key=lambda o: o[0])
-        window = sorted(obs[lo:hi], key=lambda o: (o[1], o[2], o[3]))
+        lo = bisect_right(obs, t0, key=_OBS_TIME)
+        hi = bisect_right(obs, t1, key=_OBS_TIME)
+        window = sorted(obs[lo:hi], key=_OBS_ATTEMPT_ORDER)
         return [duration for _, _, _, _, duration in window]
 
     def transfer_durations_between(self, t0: float, t1: float) -> list[float]:
@@ -352,10 +357,10 @@ class Monitor:
         """
         obs = self._transfer_obs
         if not self._transfer_obs_sorted:
-            obs.sort(key=lambda o: o[0])
+            obs.sort(key=_OBS_TIME)
             self._transfer_obs_sorted = True
-        lo = bisect_right(obs, t0, key=lambda o: o[0])
-        hi = bisect_right(obs, t1, key=lambda o: o[0])
+        lo = bisect_right(obs, t0, key=_OBS_TIME)
+        hi = bisect_right(obs, t1, key=_OBS_TIME)
         return [o[4] for o in obs[lo:hi]]
 
     def total_restarts(self) -> int:

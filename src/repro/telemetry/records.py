@@ -16,7 +16,7 @@ which keeps sinks trivially serializable across process boundaries.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Mapping
 
 __all__ = [
@@ -75,8 +75,19 @@ class TraceRecord:
     kind: ClassVar[str] = "abstract"
 
     def to_json(self) -> dict[str, Any]:
-        """A JSON-ready dict with the record's ``kind`` tag included."""
-        payload = asdict(self)  # type: ignore[call-overload]
+        """A JSON-ready dict with the record's ``kind`` tag included.
+
+        Equal to ``dataclasses.asdict(self) | {"kind": self.kind}``, built
+        straight from the slots: every field value is immutable, so the
+        deep copy ``asdict`` makes buys nothing on the trace hot path.
+        """
+        payload = {name: getattr(self, name) for name in self.__slots__}
+        predictions = payload.get("stage_predictions")
+        if predictions:
+            payload["stage_predictions"] = tuple(
+                {name: getattr(p, name) for name in StagePrediction.__slots__}
+                for p in predictions
+            )
         payload["kind"] = self.kind
         return payload
 

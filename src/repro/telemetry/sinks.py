@@ -29,6 +29,12 @@ __all__ = [
 ]
 
 
+#: one trace line: sorted keys, compact separators. ``encode`` runs the C
+#: encoder in one shot, where ``json.dump`` would stream through the
+#: pure-Python one; both give the same bytes.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 class TraceSink(ABC):
     """Destination for trace records."""
 
@@ -92,10 +98,7 @@ class JsonlSink(TraceSink):
     def emit(self, record: TraceRecord) -> None:
         if self._file is None:
             self._open()
-        json.dump(
-            record.to_json(), self._file, sort_keys=True, separators=(",", ":")
-        )
-        self._file.write("\n")
+        self._file.write(_encode(record.to_json()) + "\n")
         self._emitted += 1
 
     def _open(self) -> None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any
 
 from repro.cloud.billing import _BOUNDARY_EPS, BillingModel
@@ -86,71 +87,75 @@ def check_pool_slots(pool: InstancePool, now: float) -> list[Violation]:
     Rebuilds the free-slot buckets, the task-placement map, and the
     RUNNING/PENDING id sets from each instance's authoritative
     ``state``/``occupants`` and compares them against the indexes the
-    dispatch hot path serves (PR 1's optimization), plus per-instance
-    capacity and busy-accounting preconditions.
+    dispatch hot path serves, plus per-instance capacity and
+    busy-accounting preconditions.
+
+    Deep checking calls this after every event over every instance ever
+    launched, so the loop is kept tight: an instance with no occupants
+    (every terminated one, on a healthy run) costs a few attribute reads.
     """
     violations: list[Violation] = []
     expected_running: set[str] = set()
     expected_pending: set[str] = set()
     expected_buckets: dict[int, set[str]] = {}
     expected_placement: dict[str, str] = {}
+    running = InstanceState.RUNNING
+    pending = InstanceState.PENDING
+    add_running = expected_running.add
+    add_pending = expected_pending.add
     for instance in pool:
-        iid = instance.instance_id
-        slots = instance.itype.slots
-        if len(instance.occupants) > slots:
-            violations.append(
-                Violation(
-                    "slots.capacity",
-                    now,
-                    f"instance {iid} holds {len(instance.occupants)} "
-                    f"occupants on {slots} slots",
-                    {"instance": iid, "occupants": sorted(instance.occupants)},
+        occupants = instance.occupants
+        state = instance.state
+        if occupants:
+            iid = instance.instance_id
+            slots = instance.itype.slots
+            if len(occupants) > slots:
+                violations.append(
+                    Violation(
+                        "slots.capacity",
+                        now,
+                        f"instance {iid} holds {len(occupants)} "
+                        f"occupants on {slots} slots",
+                        {"instance": iid, "occupants": sorted(occupants)},
+                    )
                 )
-            )
-        if instance.state is not InstanceState.RUNNING and instance.occupants:
-            violations.append(
-                Violation(
-                    "slots.occupied_not_running",
-                    now,
-                    f"{instance.state.value} instance {iid} still holds "
-                    f"occupants {sorted(instance.occupants)}",
-                    {"instance": iid, "state": instance.state.value},
+            if state is not running:
+                violations.append(
+                    Violation(
+                        "slots.occupied_not_running",
+                        now,
+                        f"{state.value} instance {iid} still holds "
+                        f"occupants {sorted(occupants)}",
+                        {"instance": iid, "state": state.value},
+                    )
                 )
-            )
-        if set(instance.occupants) != set(instance._assign_times):
-            violations.append(
-                Violation(
-                    "slots.assign_times",
-                    now,
-                    f"instance {iid} occupants and busy-accounting assign "
-                    "times disagree (a slot was assigned or vacated "
-                    "without a timestamp, undercounting busy_slot_seconds)",
-                    {
-                        "instance": iid,
-                        "occupants": sorted(instance.occupants),
-                        "assign_times": sorted(instance._assign_times),
-                    },
-                )
-            )
+            if occupants != instance._assign_times.keys():
+                violations.append(_assign_times_violation(instance, now))
+            for task_id in occupants:
+                expected_placement[task_id] = iid
+        elif instance._assign_times:
+            violations.append(_assign_times_violation(instance, now))
         if instance.busy_slot_seconds < -_TIME_TOL:
             violations.append(
                 Violation(
                     "slots.busy_non_negative",
                     now,
-                    f"instance {iid} busy_slot_seconds "
+                    f"instance {instance.instance_id} busy_slot_seconds "
                     f"{instance.busy_slot_seconds} < 0",
-                    {"instance": iid, "busy": instance.busy_slot_seconds},
+                    {
+                        "instance": instance.instance_id,
+                        "busy": instance.busy_slot_seconds,
+                    },
                 )
             )
-        if instance.state is InstanceState.RUNNING:
-            expected_running.add(iid)
-            free = slots - len(instance.occupants)
+        if state is running:
+            iid = instance.instance_id
+            add_running(iid)
+            free = instance.itype.slots - len(occupants)
             if free > 0:
                 expected_buckets.setdefault(free, set()).add(iid)
-        elif instance.state is InstanceState.PENDING:
-            expected_pending.add(iid)
-        for task_id in instance.occupants:
-            expected_placement[task_id] = iid
+        elif state is pending:
+            add_pending(instance.instance_id)
 
     if expected_running != pool._running_ids:
         violations.append(
@@ -177,7 +182,7 @@ def check_pool_slots(pool: InstancePool, now: float) -> list[Violation]:
             )
         )
     actual_buckets = {
-        free: set(bucket) for free, bucket in pool._buckets.items() if bucket
+        free: bucket for free, bucket in pool._buckets.items() if bucket
     }
     if actual_buckets != expected_buckets:
         violations.append(
@@ -218,17 +223,34 @@ def check_pool_slots(pool: InstancePool, now: float) -> list[Violation]:
     expected_free = sum(
         free * len(bucket) for free, bucket in expected_buckets.items()
     )
-    if pool.free_slots() != expected_free:
+    actual_free = pool.free_slots()
+    if actual_free != expected_free:
         violations.append(
             Violation(
                 "pool.free_slot_total",
                 now,
-                f"pool.free_slots() == {pool.free_slots()} but occupants "
+                f"pool.free_slots() == {actual_free} but occupants "
                 f"recomputation gives {expected_free}",
-                {"actual": pool.free_slots(), "expected": expected_free},
+                {"actual": actual_free, "expected": expected_free},
             )
         )
     return violations
+
+
+def _assign_times_violation(instance: Instance, now: float) -> Violation:
+    iid = instance.instance_id
+    return Violation(
+        "slots.assign_times",
+        now,
+        f"instance {iid} occupants and busy-accounting assign "
+        "times disagree (a slot was assigned or vacated "
+        "without a timestamp, undercounting busy_slot_seconds)",
+        {
+            "instance": iid,
+            "occupants": sorted(instance.occupants),
+            "assign_times": sorted(instance._assign_times),
+        },
+    )
 
 
 # ----------------------------------------------------------------------
@@ -401,7 +423,7 @@ def check_monitor_aggregates(
 ) -> list[Violation]:
     """Incremental monitor aggregates == brute-force recomputation.
 
-    Guards PR 1's hot-path optimization: ``completed_in_stage`` /
+    Guards the monitor's hot-path indexes: ``completed_in_stage`` /
     ``running_in_stage`` / ``transfer_times_between`` are served from
     hand-maintained indexes; here they are recomputed from the full
     per-stage attempt history (the authoritative record) and compared
@@ -410,11 +432,17 @@ def check_monitor_aggregates(
     violations: list[Violation] = []
     tag = f"{label}: " if label else ""
     for stage_id, attempts in monitor._by_stage.items():
-        expected_completed = [a for a in attempts if a.is_completed]
+        # one scan of the stage's history: completed, else in flight
+        # unless killed (TaskAttempt.is_completed / .in_flight)
+        expected_completed: list[TaskAttempt] = []
+        expected_running: list[TaskAttempt] = []
+        for a in attempts:
+            if a.complete_time is not None:
+                expected_completed.append(a)
+            elif a.killed_at is None:
+                expected_running.append(a)
         actual_completed = monitor.completed_in_stage(stage_id)
-        if [id(a) for a in expected_completed] != [
-            id(a) for a in actual_completed
-        ]:
+        if list(map(id, expected_completed)) != list(map(id, actual_completed)):
             violations.append(
                 Violation(
                     "monitor.completed_in_stage",
@@ -428,9 +456,8 @@ def check_monitor_aggregates(
                     },
                 )
             )
-        expected_running = [a for a in attempts if a.in_flight]
         actual_running = monitor.running_in_stage(stage_id)
-        if [id(a) for a in expected_running] != [id(a) for a in actual_running]:
+        if list(map(id, expected_running)) != list(map(id, actual_running)):
             violations.append(
                 Violation(
                     "monitor.running_in_stage",
@@ -462,6 +489,10 @@ def check_monitor_aggregates(
     return violations
 
 
+#: first-dispatch order, then attempt number
+_ATTEMPT_ORDER = attrgetter("_task_order", "attempt")
+
+
 def _reference_transfer_times(
     monitor: Monitor, t0: float, t1: float
 ) -> list[float]:
@@ -469,17 +500,17 @@ def _reference_transfer_times(
     attempts in first-dispatch order, stage-in before stage-out within an
     attempt, keeping durations that finished in ``(t0, t1]``."""
     ordered: list[TaskAttempt] = sorted(
-        monitor.all_attempts(), key=lambda a: (a._task_order, a.attempt)
+        monitor.all_attempts(), key=_ATTEMPT_ORDER
     )
     durations: list[float] = []
+    append = durations.append
     for attempt in ordered:
-        if attempt.exec_start is not None and t0 < attempt.exec_start <= t1:
-            durations.append(attempt.stage_in_time or 0.0)
-        if (
-            attempt.complete_time is not None
-            and t0 < attempt.complete_time <= t1
-        ):
-            durations.append(attempt.stage_out_time or 0.0)
+        exec_start = attempt.exec_start
+        if exec_start is not None and t0 < exec_start <= t1:
+            append(attempt.stage_in_time or 0.0)
+        complete_time = attempt.complete_time
+        if complete_time is not None and t0 < complete_time <= t1:
+            append(attempt.stage_out_time or 0.0)
     return durations
 
 

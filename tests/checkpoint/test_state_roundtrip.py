@@ -7,6 +7,7 @@ culprit instead of at "the fleet diverged".
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -14,7 +15,10 @@ import pytest
 
 from repro.cloud.faults import ChaosInjector, ChaosSpec
 from repro.core.ogd import OnlineGradientDescentModel
-from repro.engine.events import EventKind, EventQueue
+from repro.core.runstate import PredictionPolicy, TaskEstimate
+from repro.engine.events import Event, EventKind, EventQueue
+from repro.engine.master import TaskExecState
+from repro.engine.monitor import TaskAttempt
 from repro.experiments import CampaignStore
 from repro.experiments.campaign import CellRecord
 from repro.metrics.stats import MovingMedian
@@ -165,3 +169,78 @@ class TestCampaignStorePickle:
         assert restored.dirty == 0
         reloaded = CampaignStore(tmp_path / "campaign.json")
         assert [r.seed for r in reloaded.records()] == [0, 1]
+
+
+class TestSlotsDataclassSchema:
+    """The pickled state of the slots dataclasses a checkpoint holds in
+    bulk. A change here changes the on-disk schema, which must bump
+    ``CHECKPOINT_VERSION``; these tests make that change visible."""
+
+    ATTEMPT = TaskAttempt(
+        task_id="t7",
+        stage_id="map",
+        attempt=3,
+        instance_id="vm-0004",
+        dispatch_time=10.5,
+        input_size=2.5e6,
+        output_size=1e5,
+        exec_start=12.0,
+        exec_end=40.25,
+        complete_time=41.0,
+        killed_at=41.0,
+        failed=True,
+        ready_time=9.0,
+        _stage_seq=17,
+        _task_order=5,
+    )
+    ESTIMATE = TaskEstimate(
+        task_id="t7",
+        stage_id="map",
+        phase=TaskExecState.EXECUTING,
+        exec_estimate=28.25,
+        policy=PredictionPolicy.MATCHED_GROUP,
+        remaining_occupancy=3.5,
+        sunk_occupancy=17.0,
+        instance_id="vm-0004",
+    )
+    EVENT = Event(41.0, 12, EventKind.STAGE_OUT_DONE, "t7")
+
+    @staticmethod
+    def field_values(obj) -> list:
+        return [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+
+    def test_every_attempt_field_is_set(self):
+        defaults = TaskAttempt("t", "s", 1, "i", 0.0, 0.0, 0.0)
+        for f in dataclasses.fields(TaskAttempt):
+            assert getattr(self.ATTEMPT, f.name) != getattr(defaults, f.name), f.name
+
+    @pytest.mark.parametrize(
+        "obj", [ATTEMPT, ESTIMATE, EVENT], ids=["attempt", "estimate", "event"]
+    )
+    def test_round_trips_field_for_field(self, obj):
+        restored = pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+        assert type(restored) is type(obj)
+        for f, expected in zip(dataclasses.fields(obj), self.field_values(obj)):
+            value = getattr(restored, f.name)
+            assert value == expected and type(value) is type(expected), f.name
+
+    def test_attempt_state_is_the_slot_dict_in_field_order(self):
+        # TaskAttempt is not frozen, so it pickles through the interpreter's
+        # own slot state rather than a dataclasses-generated pair
+        state = self.ATTEMPT.__getstate__()
+        names = [f.name for f in dataclasses.fields(TaskAttempt)]
+        assert state == (None, dict(zip(names, self.field_values(self.ATTEMPT))))
+        assert list(state[1]) == names
+
+    @pytest.mark.parametrize("obj", [ESTIMATE, EVENT], ids=["estimate", "event"])
+    def test_frozen_state_is_the_field_list(self, obj):
+        assert obj.__getstate__() == self.field_values(obj)
+
+    @pytest.mark.parametrize("obj", [ESTIMATE, EVENT], ids=["estimate", "event"])
+    def test_frozen_pickle_bytes_match_the_dataclasses_pair(self, obj, monkeypatch):
+        fast = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        cls = type(obj)
+        monkeypatch.setattr(cls, "__getstate__", dataclasses._dataclass_getstate)
+        monkeypatch.setattr(cls, "__setstate__", dataclasses._dataclass_setstate)
+        assert pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL) == fast
+        assert pickle.loads(fast) == obj

@@ -109,3 +109,54 @@ class TestQueries:
         assert TaskExecState.STAGING_IN.occupies_slot
         assert not TaskExecState.READY.occupies_slot
         assert not TaskExecState.COMPLETED.occupies_slot
+
+
+class TestStateCountsDifferential:
+    """``state_counts`` against a per-task tally, on every state a run
+    passes through."""
+
+    @staticmethod
+    def tally(master) -> dict[TaskExecState, int]:
+        counts = dict.fromkeys(TaskExecState, 0)
+        for task_id in master.workflow.tasks:
+            counts[master.state(task_id)] += 1
+        return counts
+
+    def test_every_state_keyed_in_enum_order(self, master):
+        drive_to_completion(master, "a")
+        master.mark_dispatched("b")
+        master.mark_executing("b")
+        master.mark_dispatched("c")
+        counts = master.state_counts()
+        assert list(counts) == list(TaskExecState)
+        assert counts == self.tally(master)
+        assert counts[TaskExecState.COMPLETED] == 1
+        assert counts[TaskExecState.STAGING_OUT] == 0
+
+    def test_matches_tally_at_every_tick_of_a_chaos_run(self):
+        from repro.autoscalers import WireAutoscaler
+        from repro.cloud import exogeni_site
+        from repro.cloud.faults import parse_chaos_spec
+        from repro.engine import Simulation
+        from repro.workloads import table1_specs
+
+        seen = []
+        tally = self.tally
+
+        class Checking(WireAutoscaler):
+            def plan(self, obs):
+                seen.append((obs.master.state_counts(), tally(obs.master)))
+                return super().plan(obs)
+
+        Simulation(
+            table1_specs()["genome-S"].generate(0),
+            exogeni_site(),
+            Checking(),
+            60.0,
+            seed=0,
+            chaos=parse_chaos_spec("revocations=2,stragglers=0.2"),
+        ).run()
+        assert len(seen) >= 5
+        for fast, reference in seen:
+            assert fast == reference
+        assert any(fast[TaskExecState.EXECUTING] for fast, _ in seen)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import io
+import json
+
 import pytest
 
 from repro.telemetry import (
@@ -11,9 +15,11 @@ from repro.telemetry import (
     RunMetaRecord,
     RunSummaryRecord,
     StagePrediction,
+    JsonlSink,
     TaskAttemptRecord,
     record_from_json,
 )
+from repro.telemetry.records import _RECORD_TYPES
 
 META = RunMetaRecord(
     workflow="genome-S",
@@ -167,3 +173,67 @@ class TestMalformedPayloads:
     def test_records_are_immutable(self):
         with pytest.raises(AttributeError):
             SUMMARY.makespan = 0.0  # type: ignore[misc]
+
+
+class TestEncodingDifferential:
+    """``to_json`` and ``JsonlSink`` against the ``asdict`` + ``json.dump``
+    encoding they replaced, for every record kind."""
+
+    PREDICTIONS = (
+        StagePrediction("map", "ogd", 3, 1.0000000000000002),
+        StagePrediction("reduce", "observed", 1, 1e-320),
+    )
+    #: one value per annotated field type; floats chosen to stress repr
+    SET = {
+        "str": "i-1é",
+        "str | None": "i-2",
+        "int": 7,
+        "int | None": 8,
+        "float": 1e-320,
+        "float | None": 1.0000000000000002,
+        "bool": True,
+        "tuple[StagePrediction, ...]": PREDICTIONS,
+    }
+
+    @classmethod
+    def variants(cls, record_type):
+        """Required fields only (optionals at their defaults), then every
+        field set."""
+        required = {
+            f.name: cls.SET[f.type]
+            for f in dataclasses.fields(record_type)
+            if f.default is dataclasses.MISSING
+        }
+        full = {f.name: cls.SET[f.type] for f in dataclasses.fields(record_type)}
+        return [record_type(**required), record_type(**full)]
+
+    @staticmethod
+    def old_line(record) -> str:
+        buf = io.StringIO()
+        payload = dataclasses.asdict(record) | {"kind": record.kind}
+        json.dump(payload, buf, sort_keys=True, separators=(",", ":"))
+        buf.write("\n")
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("kind", sorted(_RECORD_TYPES))
+    def test_to_json_equals_asdict(self, kind):
+        for record in self.variants(_RECORD_TYPES[kind]):
+            assert record.to_json() == dataclasses.asdict(record) | {
+                "kind": record.kind
+            }
+
+    @pytest.mark.parametrize("kind", sorted(_RECORD_TYPES))
+    def test_jsonl_line_equals_json_dump_bytes(self, kind, tmp_path):
+        records = self.variants(_RECORD_TYPES[kind])
+        path = tmp_path / "t.jsonl"
+        with JsonlSink(path) as sink:
+            for record in records:
+                sink.emit(record)
+        expected = "".join(self.old_line(r) for r in records)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_variants_cover_none_and_predictions(self):
+        empty, full = self.variants(ControlTickRecord)
+        assert empty.q_remaining is None and empty.stage_predictions == ()
+        assert full.stage_predictions == self.PREDICTIONS
+        assert '"mean_estimate":1e-320' in self.old_line(full)

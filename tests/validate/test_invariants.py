@@ -82,6 +82,31 @@ class TestPoolSlots:
         del inst._assign_times["t1"]
         assert "slots.assign_times" in names(check_pool_slots(pool, 10.0))
 
+    def test_timestamp_without_occupant(self):
+        # the reverse of test_assign_without_timestamp: a vacated slot
+        # whose assign time was never popped, on an empty instance and
+        # beside a real occupant
+        pool = make_pool()
+        empty = running_instance(pool)
+        empty._assign_times["t9"] = 1.0
+        busy = running_instance(pool)
+        busy.assign("t1", 1.0)
+        busy._assign_times["t8"] = 2.0
+        found = check_pool_slots(pool, 10.0)
+        assert names(found) == {"slots.assign_times"}
+        assert [v.context["instance"] for v in found] == [
+            empty.instance_id,
+            busy.instance_id,
+        ]
+        assert found[0].context["assign_times"] == ["t9"]
+
+    def test_timestamp_left_on_terminated_instance(self):
+        pool = make_pool()
+        inst = running_instance(pool)
+        inst.mark_terminated(5.0)
+        inst._assign_times["t1"] = 1.0
+        assert names(check_pool_slots(pool, 10.0)) == {"slots.assign_times"}
+
     def test_negative_busy_accumulator(self):
         pool = make_pool()
         inst = running_instance(pool)
@@ -101,6 +126,25 @@ class TestPoolSlots:
         running_instance(pool)
         pool._running_ids.add("vm-9999")
         assert "pool.state_index" in names(check_pool_slots(pool, 10.0))
+
+    def test_stale_pending_id(self):
+        pool = make_pool()
+        pool.create(0.0)
+        pool._pending_ids.add("vm-9999")
+        found = check_pool_slots(pool, 10.0)
+        assert names(found) == {"pool.state_index"}
+        assert "PENDING" in found[0].message
+        assert found[0].context == {"missing": [], "stale": ["vm-9999"]}
+
+    def test_free_slot_total_drift(self):
+        # the buckets agree with the recomputation, but the total the
+        # dispatch path reads does not
+        pool = make_pool()
+        running_instance(pool)
+        pool.free_slots = lambda: 5
+        found = check_pool_slots(pool, 10.0)
+        assert names(found) == {"pool.free_slot_total"}
+        assert found[0].context == {"actual": 5, "expected": 2}
 
     def test_placement_ghost(self):
         pool = make_pool()
