@@ -40,7 +40,7 @@ def load_generator():
     return module
 
 
-# A fast subset runs in the default suite; the full 66-scenario sweep is
+# A fast subset runs in the default suite; the full 69-scenario sweep is
 # what tools/gen_golden_engine.py covers and bench runs exercise.
 FAST_SCENARIOS = [
     "genome-S/wire/u60/s0",
@@ -56,6 +56,9 @@ FAST_SCENARIOS = [
     "tpch1-S/full-site/u60/s1",
     "genome-S/wire/faults",
     "tpch6-S/wire/jitter",
+    "genome-S/wire/u60/s1/chaos",
+    "genome-S/wire/u60/s1/chaos+jitter",
+    "tpch6-S/pure-reactive/u60/s0/min0",
 ]
 
 
@@ -82,4 +85,5 @@ class TestGoldenEquivalence:
 
     def test_golden_covers_full_matrix(self, golden):
         # 4 workloads x 4 policies x 2 units x 2 seeds + faults + jitter
-        assert len(golden) == 66
+        # + provisioning chaos with and without jitter + a floorless site
+        assert len(golden) == 69
