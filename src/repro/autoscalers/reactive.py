@@ -16,7 +16,7 @@ import math
 
 from repro.engine.control import (
     Autoscaler,
-    Observation,
+    PoolObservation,
     ScalingDecision,
     TerminationOrder,
 )
@@ -25,15 +25,22 @@ __all__ = ["PureReactiveAutoscaler"]
 
 
 class PureReactiveAutoscaler(Autoscaler):
-    """Track the instantaneous task load, one slot per runnable task."""
+    """Track the instantaneous task load, one slot per runnable task.
+
+    The load is summed over every observed workflow, so the same policy
+    sizes a fleet's shared pool (``global-reactive``). The floor is
+    ``max(1, site.min_instances)``, as for every elastic policy here: a
+    fleet between arrivals keeps one instance, and a single run has no
+    runnable task only once it is done.
+    """
 
     name = "pure-reactive"
 
-    def plan(self, obs: Observation) -> ScalingDecision:
+    def plan(self, obs: PoolObservation) -> ScalingDecision:
         slots = obs.site.itype.slots
         load = obs.runnable_task_count()
         target = max(
-            obs.site.min_instances,
+            max(1, obs.site.min_instances),
             min(math.ceil(load / slots), obs.site.max_instances),
         )
         current = obs.effective_pool_size()

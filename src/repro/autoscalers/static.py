@@ -10,7 +10,7 @@ cost ceiling of Fig 5.
 from __future__ import annotations
 
 from repro.cloud.site import CloudSite
-from repro.engine.control import Autoscaler, Observation, ScalingDecision
+from repro.engine.control import Autoscaler, PoolObservation, ScalingDecision
 
 __all__ = ["StaticAutoscaler", "full_site"]
 
@@ -27,7 +27,7 @@ class StaticAutoscaler(Autoscaler):
     def initial_pool_size(self, site: CloudSite) -> int:
         return min(self.size, site.max_instances)
 
-    def plan(self, obs: Observation) -> ScalingDecision:
+    def plan(self, obs: PoolObservation) -> ScalingDecision:
         return ScalingDecision()
 
 

@@ -53,7 +53,7 @@ from repro.experiments.report import (
     render_relative_time,
     render_table1,
 )
-from repro.fleet import DEFAULT_FLEET_WORKLOADS
+from repro.fleet import DEFAULT_FLEET_WORKLOADS, fleet_autoscaler_factories
 from repro.util.formatting import format_duration, render_table
 from repro.workloads import PAPER_PROFILES, table1_specs
 
@@ -1114,7 +1114,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--autoscaler",
-        choices=["global-wire", "global-static", "global-reactive"],
+        choices=list(fleet_autoscaler_factories()),
         default="global-wire",
         help="global pool-sizing policy",
     )

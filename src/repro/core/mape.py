@@ -12,25 +12,37 @@ interval:
 - **Plan**: project one interval ahead with the lookahead simulator to get
   the upcoming load ``Q_task`` and per-instance restart costs.
 - **Execute**: apply Algorithms 2/3 to grow or shrink the pool.
+
+The Execute step lives in :class:`SteeringAutoscaler`, which the fleet's
+:class:`~repro.fleet.autoscalers.GlobalWireAutoscaler` shares; only the
+Monitor/Analyze/Plan steps differ between the two front-ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.cloud.instance import Instance
 from repro.core.config import WireConfig
 from repro.core.lookahead import LookaheadSimulator, VirtualInstance
 from repro.core.predictor import TaskPredictor
-from repro.core.runstate import PredictionPolicy, RunState
+from repro.core.runstate import PredictionPolicy, RunState, TaskEstimate
 from repro.core.steering import SteeringPolicy, resize_pool, steer_inputs_for
 from repro.dag.workflow import Workflow
-from repro.engine.control import NO_CHANGE, Autoscaler, Observation, ScalingDecision
+from repro.engine.control import (
+    NO_CHANGE,
+    Autoscaler,
+    Observation,
+    PoolObservation,
+    ScalingDecision,
+)
 from repro.engine.master import TaskExecState
 from repro.telemetry.records import StagePrediction, TickTelemetry
 
-__all__ = ["MapeController", "TickDiagnostics"]
+__all__ = ["MapeController", "SteeringAutoscaler", "TickDiagnostics"]
 
 
 @dataclass(frozen=True)
@@ -47,7 +59,101 @@ class TickDiagnostics:
     policy_counts: dict[PredictionPolicy, int] = field(default_factory=dict)
 
 
-class MapeController(Autoscaler):
+class SteeringAutoscaler(Autoscaler):
+    """WIRE's Execute step: Algorithms 2/3 over a projected load.
+
+    Subclasses run the Monitor/Analyze/Plan steps in :meth:`plan` and hand
+    the projected ``Q_task`` to :meth:`_execute`, which steers the pool,
+    holds shrinks on monitoring-blackout ticks and keeps what
+    :meth:`_tick_telemetry` needs to report the planned target.
+    """
+
+    def __init__(self, config: WireConfig | None = None) -> None:
+        self.config = config or WireConfig()
+        self._steering = SteeringPolicy(self.config.restart_threshold_fraction)
+        # inputs of the most recent Algorithm 3 evaluation, kept so
+        # tick_telemetry() can reconstruct the planned target lazily
+        self._last_upcoming: list[float] | None = None
+        self._last_charging_unit = 0.0
+        self._last_slots = 1
+        #: graceful-degradation counters under cloud-fault injection:
+        #: ticks whose kickstart records were blacked out, and shrink
+        #: decisions suppressed on such ticks
+        self.blackout_ticks = 0
+        self.blackout_holds = 0
+
+    def _execute(
+        self,
+        obs: PoolObservation,
+        upcoming: "Sequence[float] | np.ndarray",
+        steerable: Sequence[Instance],
+        pending_count: int,
+        estimate_of: Callable[[str], TaskEstimate],
+    ) -> ScalingDecision:
+        """Grow or shrink the pool toward Algorithm 3's target for
+        ``upcoming``; ``estimate_of`` resolves an occupant task id to its
+        estimate for the restart cost c_j."""
+        # Restart cost c_j, evaluated at the moment a release would actually
+        # happen: the instance's charge boundary (Algorithm 2 frames c_j "at
+        # the interval's start", but releasing at the interval start would
+        # already incur the recharge Algorithm 2 exists to avoid — see
+        # DESIGN.md).
+        steer_inputs = steer_inputs_for(steerable, obs.billing, obs.now, estimate_of)
+        self._last_upcoming = (
+            upcoming.tolist() if isinstance(upcoming, np.ndarray) else list(upcoming)
+        )
+        self._last_charging_unit = obs.charging_unit
+        self._last_slots = obs.site.itype.slots
+        decision = self._steering.decide(
+            now=obs.now,
+            upcoming_remaining=upcoming,
+            instances=steer_inputs,
+            pending_count=pending_count,
+            charging_unit=obs.charging_unit,
+            lag=obs.lag,
+            slots_per_instance=obs.site.itype.slots,
+            min_instances=max(1, obs.site.min_instances),
+            max_instances=obs.site.max_instances,
+        )
+        # Never shrink on a stale model: a blackout tick's estimates may
+        # under-state remaining load, and releasing capacity it would
+        # immediately re-order thrashes through the provisioning lag.
+        # Growing (or holding) on last-known data is safe by comparison.
+        if obs.monitor_blackout:
+            self.blackout_ticks += 1
+            if decision.terminations:
+                self.blackout_holds += 1
+                decision = NO_CHANGE
+        return decision
+
+    def _tick_telemetry(
+        self,
+        transfer_estimate: float,
+        stage_predictions: tuple[StagePrediction, ...] = (),
+    ) -> TickTelemetry | None:
+        """The last tick's Algorithm 3 target and ``Q_task`` summary.
+
+        Only reached when a trace sink is attached, so re-evaluating
+        Algorithm 3 here adds nothing to untraced runs.
+        """
+        upcoming = self._last_upcoming
+        if upcoming is None:
+            return None
+        return TickTelemetry(
+            target_pool=resize_pool(
+                upcoming,
+                self._last_charging_unit,
+                self._last_slots,
+                tail_threshold_fraction=self._steering.restart_threshold_fraction,
+            ),
+            q_task=len(upcoming),
+            q_remaining=sum(upcoming),
+            transfer_estimate=transfer_estimate,
+            stage_predictions=stage_predictions,
+        )
+
+
+class MapeController(SteeringAutoscaler):
     """WIRE: online-prediction-driven elastic pool control.
 
     One controller instance manages one workflow run; it lazily binds to
@@ -57,24 +163,13 @@ class MapeController(Autoscaler):
     name = "wire"
 
     def __init__(self, config: WireConfig | None = None) -> None:
-        self.config = config or WireConfig()
-        self._steering = SteeringPolicy(self.config.restart_threshold_fraction)
+        super().__init__(config)
         self._predictor: TaskPredictor | None = None
         self._lookahead: LookaheadSimulator | None = None
         self._workflow: Workflow | None = None
         self._last_run_state: RunState | None = None
-        # inputs of the most recent Algorithm 3 evaluation, kept so
-        # tick_telemetry() can reconstruct the planned target lazily
-        self._last_upcoming: list[float] | None = None
-        self._last_charging_unit = 0.0
-        self._last_slots = 1
         #: per-tick telemetry, appended in tick order
         self.diagnostics: list[TickDiagnostics] = []
-        #: graceful-degradation counters under cloud-fault injection:
-        #: ticks whose kickstart records were blacked out, and shrink
-        #: decisions suppressed on such ticks
-        self.blackout_ticks = 0
-        self.blackout_holds = 0
 
     # ------------------------------------------------------------------
     def _make_predictor(self, workflow: Workflow) -> TaskPredictor:
@@ -120,8 +215,6 @@ class MapeController(Autoscaler):
             self._predictor.observe_interval(
                 obs.monitor, obs.window_start, obs.now
             )
-        else:
-            self.blackout_ticks += 1
         run_state = self._predictor.build_run_state(obs.master, obs.monitor, obs.now)
         self._last_run_state = run_state
 
@@ -163,41 +256,10 @@ class MapeController(Autoscaler):
                 if e.phase is not TaskExecState.BLOCKED
             ]
 
-        # Restart cost c_j, evaluated at the moment a release would actually
-        # happen: the instance's charge boundary (Algorithm 2 frames c_j "at
-        # the interval's start", but releasing at the interval start would
-        # already incur the recharge Algorithm 2 exists to avoid — see
-        # DESIGN.md).
-        steer_inputs = steer_inputs_for(
-            steerable, obs.billing, obs.now, run_state.estimates.__getitem__
-        )
-
-        self._last_upcoming = (
-            upcoming.tolist() if isinstance(upcoming, np.ndarray) else list(upcoming)
-        )
-        self._last_charging_unit = obs.charging_unit
-        self._last_slots = obs.site.itype.slots
-
         # Execute
-        decision = self._steering.decide(
-            now=obs.now,
-            upcoming_remaining=upcoming,
-            instances=steer_inputs,
-            pending_count=len(pending),
-            charging_unit=obs.charging_unit,
-            lag=obs.lag,
-            slots_per_instance=obs.site.itype.slots,
-            min_instances=max(1, obs.site.min_instances),
-            max_instances=obs.site.max_instances,
+        decision = self._execute(
+            obs, upcoming, steerable, len(pending), run_state.estimates.__getitem__
         )
-
-        # Never shrink on a stale model: a blackout tick's estimates may
-        # under-state remaining load, and releasing capacity it would
-        # immediately re-order thrashes through the provisioning lag.
-        # Growing (or holding) on last-known data is safe by comparison.
-        if obs.monitor_blackout and decision.terminations:
-            self.blackout_holds += 1
-            decision = NO_CHANGE
 
         self.diagnostics.append(
             TickDiagnostics(
@@ -218,21 +280,10 @@ class MapeController(Autoscaler):
 
     # ------------------------------------------------------------------
     def tick_telemetry(self) -> TickTelemetry | None:
-        """Controller detail of the last tick, for the trace layer.
-
-        Only invoked by the engine when a trace sink is attached, so the
-        Algorithm 3 re-evaluation here adds nothing to untraced runs.
-        """
+        """Controller detail of the last tick, for the trace layer."""
         run_state = self._last_run_state
-        upcoming = self._last_upcoming
-        if run_state is None or upcoming is None:
+        if run_state is None:
             return None
-        target = resize_pool(
-            upcoming,
-            self._last_charging_unit,
-            self._last_slots,
-            tail_threshold_fraction=self._steering.restart_threshold_fraction,
-        )
         by_stage = self._stage_estimates(run_state.estimates)
         predictions = []
         for stage_id in sorted(by_stage):
@@ -251,13 +302,7 @@ class MapeController(Autoscaler):
                     mean_estimate=sum(e for e, _ in estimates) / len(estimates),
                 )
             )
-        return TickTelemetry(
-            target_pool=target,
-            q_task=len(upcoming),
-            q_remaining=sum(upcoming),
-            transfer_estimate=run_state.transfer_estimate,
-            stage_predictions=tuple(predictions),
-        )
+        return self._tick_telemetry(run_state.transfer_estimate, tuple(predictions))
 
     def _stage_estimates(
         self, estimates

@@ -1,10 +1,12 @@
 """The engine <-> autoscaler contract.
 
-At every MAPE tick the simulator hands the active autoscaler an
-:class:`Observation` — everything a controller co-located with the
+At every MAPE tick the engine hands the active :class:`Autoscaler` a
+:class:`PoolObservation` — everything a controller co-located with the
 framework master could legitimately see (paper §II-C: monitored lifecycles,
 the DAG, pool and billing state) — and receives a :class:`ScalingDecision`
-back. The engine applies launches with the site's provisioning lag and
+back. A single run observes an :class:`Observation` of its one workflow, a
+fleet a :class:`~repro.fleet.autoscalers.FleetObservation` of all active
+tenants. The engine applies launches with the site's provisioning lag and
 terminations at the decision's chosen times.
 """
 
@@ -153,13 +155,19 @@ class Observation(PoolObservation):
 
 
 class Autoscaler(ABC):
-    """A pool-sizing policy. Subclasses must be engine-agnostic."""
+    """A pool-sizing policy, for single runs and fleets alike.
+
+    A policy that reads only :class:`PoolObservation` fields (full-site,
+    pure-reactive) serves both front-ends; one that needs a single run's
+    workflow, master or monitor narrows :meth:`plan` to
+    :class:`Observation`.
+    """
 
     #: short name used in experiment reports ("wire", "full-site", ...)
     name: str = "autoscaler"
 
     @abstractmethod
-    def plan(self, obs: Observation) -> ScalingDecision:
+    def plan(self, obs: PoolObservation) -> ScalingDecision:
         """Compute pool changes for the upcoming interval."""
 
     def initial_pool_size(self, site: CloudSite) -> int:

@@ -26,10 +26,7 @@ from repro.fleet.arrivals import (
     TraceArrivals,
 )
 from repro.fleet.autoscalers import (
-    FleetAutoscaler,
     FleetObservation,
-    FleetReactiveAutoscaler,
-    FleetStaticAutoscaler,
     GlobalWireAutoscaler,
     fleet_autoscaler,
     fleet_autoscaler_factories,
@@ -58,12 +55,9 @@ __all__ = [
     "DEFAULT_FLEET_WORKLOADS",
     "FairSharePolicy",
     "FifoPolicy",
-    "FleetAutoscaler",
     "FleetObservation",
-    "FleetReactiveAutoscaler",
     "FleetResult",
     "FleetSimulation",
-    "FleetStaticAutoscaler",
     "GlobalWireAutoscaler",
     "PoissonArrivals",
     "PriorityPolicy",

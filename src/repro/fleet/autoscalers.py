@@ -1,46 +1,38 @@
 """Global pool-sizing policies for the shared-site fleet.
 
-The single-workflow autoscalers receive an :class:`~repro.engine.control.
-Observation` bound to one master/monitor pair; a fleet tick instead hands
-the policy a :class:`FleetObservation` over *all* active tenants. The
-headline policy is :class:`GlobalWireAutoscaler`: every tenant keeps its
-own per-stage predictors and lookahead (the paper's §III-B components,
-unchanged), and the global steering step concatenates the per-tenant
-``Q_task`` forecasts into one summed load before running Algorithms 2/3
-once for the whole site. Static and reactive shared-site baselines
-complete the comparison set.
+A fleet tick hands the policy a :class:`FleetObservation` over *all*
+active tenants; every policy is an :class:`~repro.engine.control.
+Autoscaler`, the contract single runs use too. The headline policy is
+:class:`GlobalWireAutoscaler`: every tenant keeps its own per-stage
+predictors and lookahead (the paper's §III-B components, unchanged), and
+the global steering step concatenates the per-tenant ``Q_task`` forecasts
+into one summed load before running Algorithms 2/3 once for the whole
+site. The shared-site baselines are the single-run classes themselves:
+``global-static`` is full-site and ``global-reactive`` is pure-reactive.
 """
 
 from __future__ import annotations
 
-import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.cloud.site import CloudSite
+from repro.autoscalers.reactive import PureReactiveAutoscaler
+from repro.autoscalers.static import full_site
+from repro.cloud.site import CloudSite, exogeni_site
 from repro.core.config import WireConfig
 from repro.core.lookahead import LookaheadSimulator, VirtualInstance
+from repro.core.mape import SteeringAutoscaler
 from repro.core.predictor import SharedEvalCache, TaskPredictor
 from repro.core.runstate import RunState
-from repro.core.steering import SteeringPolicy, resize_pool, steer_inputs_for
-from repro.engine.control import (
-    NO_CHANGE,
-    PoolObservation,
-    ScalingDecision,
-    TerminationOrder,
-)
+from repro.engine.control import Autoscaler, PoolObservation, ScalingDecision
 from repro.engine.master import FrameworkMaster
 from repro.engine.tenant import TenantRun
 from repro.telemetry.records import TickTelemetry
 
 __all__ = [
-    "FleetAutoscaler",
     "FleetObservation",
-    "FleetReactiveAutoscaler",
-    "FleetStaticAutoscaler",
     "GlobalWireAutoscaler",
     "fleet_autoscaler",
     "fleet_autoscaler_factories",
@@ -65,26 +57,7 @@ class FleetObservation(PoolObservation):
         return tuple(tenant.master for tenant in self.tenants)
 
 
-class FleetAutoscaler(ABC):
-    """A shared-site pool-sizing policy driven by fleet observations."""
-
-    #: short name used in CLI flags and reports
-    name: str = "fleet-autoscaler"
-
-    @abstractmethod
-    def plan(self, obs: FleetObservation) -> ScalingDecision:
-        """Compute pool changes for the upcoming interval."""
-
-    def initial_pool_size(self, site: CloudSite) -> int:
-        """Instances to provision before the first arrival (default: one)."""
-        return min(1, site.max_instances)
-
-    def tick_telemetry(self) -> TickTelemetry | None:
-        """Controller detail of the last tick (traced runs only)."""
-        return None
-
-
-class GlobalWireAutoscaler(FleetAutoscaler):
+class GlobalWireAutoscaler(SteeringAutoscaler):
     """WIRE generalized to summed predicted load over N tenants.
 
     Per tenant: the unmodified §III-B pipeline — observe the interval,
@@ -101,8 +74,7 @@ class GlobalWireAutoscaler(FleetAutoscaler):
     name = "global-wire"
 
     def __init__(self, config: WireConfig | None = None) -> None:
-        self.config = config or WireConfig()
-        self._steering = SteeringPolicy(self.config.restart_threshold_fraction)
+        super().__init__(config)
         #: tenant_id -> (predictor, lookahead); tenants bind lazily on
         #: their first observed tick and keep their models run-long
         self._states: dict[str, tuple[TaskPredictor, LookaheadSimulator]] = {}
@@ -110,12 +82,7 @@ class GlobalWireAutoscaler(FleetAutoscaler):
         #: fleet: tenants running the same genome at the same model state
         #: reuse each other's Policy 5 predictions across ticks
         self._shared_cache = SharedEvalCache()
-        self._last_upcoming: list[float] | None = None
         self._last_transfer = 0.0
-        self._last_charging_unit = 0.0
-        self._last_slots = 1
-        self.blackout_ticks = 0
-        self.blackout_holds = 0
 
     def _bind(self, tenant: TenantRun) -> tuple[TaskPredictor, LookaheadSimulator]:
         state = self._states.get(tenant.tenant_id)
@@ -147,9 +114,6 @@ class GlobalWireAutoscaler(FleetAutoscaler):
             base, rem = divmod(free_capacity, n)
             for pos, tenant in enumerate(obs.tenants):
                 shares[tenant.tenant_id] = base + (1 if pos < rem else 0)
-
-        if obs.monitor_blackout:
-            self.blackout_ticks += 1
 
         upcoming_parts: list[np.ndarray] = []
         run_states: dict[str, RunState] = {}
@@ -219,111 +183,40 @@ class GlobalWireAutoscaler(FleetAutoscaler):
             tenant, local = obs.owner[scoped]
             return run_states[tenant.tenant_id].estimates[local]
 
-        steer_inputs = steer_inputs_for(
-            steerable, obs.billing, obs.now, estimate_of
-        )
-
-        self._last_upcoming = upcoming.tolist()
         self._last_transfer = (
             sum(transfer_estimates) / len(transfer_estimates)
             if transfer_estimates
             else 0.0
         )
-        self._last_charging_unit = obs.charging_unit
-        self._last_slots = slots_per_instance
-
-        decision = self._steering.decide(
-            now=obs.now,
-            upcoming_remaining=upcoming,
-            instances=steer_inputs,
-            pending_count=len(pending),
-            charging_unit=obs.charging_unit,
-            lag=obs.lag,
-            slots_per_instance=slots_per_instance,
-            min_instances=max(1, obs.site.min_instances),
-            max_instances=obs.site.max_instances,
-        )
-        # Same blackout rule as the single-workflow controller: never
-        # shrink on a stale model.
-        if obs.monitor_blackout and decision.terminations:
-            self.blackout_holds += 1
-            decision = NO_CHANGE
-        return decision
+        return self._execute(obs, upcoming, steerable, len(pending), estimate_of)
 
     def tick_telemetry(self) -> TickTelemetry | None:
-        upcoming = self._last_upcoming
-        if upcoming is None:
-            return None
-        target = resize_pool(
-            upcoming,
-            self._last_charging_unit,
-            self._last_slots,
-            tail_threshold_fraction=self._steering.restart_threshold_fraction,
-        )
-        return TickTelemetry(
-            target_pool=target,
-            q_task=len(upcoming),
-            q_remaining=sum(upcoming),
-            transfer_estimate=self._last_transfer,
-        )
+        return self._tick_telemetry(self._last_transfer)
 
 
-class FleetStaticAutoscaler(FleetAutoscaler):
-    """Whole site up for the whole fleet run (shared full-site baseline)."""
+def fleet_autoscaler_factories(
+    site: CloudSite | None = None,
+) -> dict[str, Callable[[], Autoscaler]]:
+    """Name -> zero-arg factory for every shared-site policy on ``site``
+    (default: the ExoGENI site)."""
+    the_site = site or exogeni_site()
 
-    name = "global-static"
+    def named(autoscaler: Autoscaler, name: str) -> Autoscaler:
+        autoscaler.name = name
+        return autoscaler
 
-    def initial_pool_size(self, site: CloudSite) -> int:
-        return site.max_instances
-
-    def plan(self, obs: FleetObservation) -> ScalingDecision:
-        return NO_CHANGE
-
-
-class FleetReactiveAutoscaler(FleetAutoscaler):
-    """One slot per runnable task summed over tenants, immediate releases."""
-
-    name = "global-reactive"
-
-    def plan(self, obs: FleetObservation) -> ScalingDecision:
-        slots = obs.site.itype.slots
-        load = obs.runnable_task_count()
-        target = max(
-            max(1, obs.site.min_instances),
-            min(math.ceil(load / slots), obs.site.max_instances),
-        )
-        current = obs.effective_pool_size()
-        if target > current:
-            return ScalingDecision(launch=target - current)
-        if target == current:
-            return ScalingDecision()
-        candidates = sorted(
-            obs.steerable_instances(),
-            key=lambda i: (len(i.occupants), i.instance_id),
-        )
-        orders = tuple(
-            TerminationOrder(instance_id=i.instance_id, at=obs.now)
-            for i in candidates[: current - target]
-        )
-        return ScalingDecision(terminations=orders)
+    return {
+        GlobalWireAutoscaler.name: GlobalWireAutoscaler,
+        "global-static": lambda: named(full_site(the_site), "global-static"),
+        "global-reactive": lambda: named(PureReactiveAutoscaler(), "global-reactive"),
+    }
 
 
-_FACTORIES: dict[str, type[FleetAutoscaler]] = {
-    GlobalWireAutoscaler.name: GlobalWireAutoscaler,
-    FleetStaticAutoscaler.name: FleetStaticAutoscaler,
-    FleetReactiveAutoscaler.name: FleetReactiveAutoscaler,
-}
-
-
-def fleet_autoscaler_factories() -> dict[str, type[FleetAutoscaler]]:
-    """Name -> zero-arg factory for every shared-site policy."""
-    return dict(_FACTORIES)
-
-
-def fleet_autoscaler(name: str) -> FleetAutoscaler:
-    """Instantiate a fleet policy by CLI name."""
+def fleet_autoscaler(name: str, site: CloudSite | None = None) -> Autoscaler:
+    """Instantiate a fleet policy by CLI name for ``site``."""
+    factories = fleet_autoscaler_factories(site)
     try:
-        return _FACTORIES[name]()
+        return factories[name]()
     except KeyError:
-        options = ", ".join(sorted(_FACTORIES))
+        options = ", ".join(sorted(factories))
         raise ValueError(f"unknown fleet autoscaler {name!r} (options: {options})")

@@ -11,10 +11,9 @@ queue); this front-end adds three things on top:
   gated by an admission cap),
 - a slot-allocation step (an :class:`~repro.fleet.policies.
   AllocationPolicy` decides which tenant's queue feeds each free slot),
-- a global steering tick (a :class:`~repro.fleet.autoscalers.
-  FleetAutoscaler` sizes the shared pool from the summed per-tenant
-  forecasts, observing a :class:`~repro.fleet.autoscalers.
-  FleetObservation`),
+- a global steering tick (an :class:`~repro.engine.control.Autoscaler`
+  sizes the shared pool from the summed per-tenant forecasts, observing
+  a :class:`~repro.fleet.autoscalers.FleetObservation`),
 
 and builds the per-tenant :class:`~repro.fleet.result.FleetResult` with
 proportional cost attribution.
@@ -34,13 +33,14 @@ from typing import Mapping, Sequence
 from repro.cloud.faults import ChaosSpec
 from repro.cloud.site import CloudSite
 from repro.dag.workflow import Workflow
+from repro.engine.control import Autoscaler
 from repro.engine.core import EngineCore
 from repro.engine.events import EventKind
 from repro.engine.faults import FaultModel
 from repro.engine.runtime import TaskRuntimeModel
 from repro.engine.tenant import Submission, TenantRun
 from repro.engine.transfer import DataTransferModel
-from repro.fleet.autoscalers import FleetAutoscaler, FleetObservation
+from repro.fleet.autoscalers import FleetObservation
 from repro.fleet.policies import AllocationPolicy
 from repro.fleet.result import FleetResult, TenantResult
 from repro.telemetry.records import FleetTickRecord, TenantRecord, TickTelemetry
@@ -103,7 +103,7 @@ class FleetSimulation(EngineCore):
         submissions: Sequence[Submission],
         workloads: Mapping[str, object],
         site: CloudSite,
-        autoscaler: FleetAutoscaler,
+        autoscaler: Autoscaler,
         policy: AllocationPolicy,
         charging_unit: float,
         *,

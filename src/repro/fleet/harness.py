@@ -13,13 +13,14 @@ from typing import Mapping, Sequence
 
 from repro.cloud.faults import ChaosSpec
 from repro.cloud.site import CloudSite, exogeni_site
+from repro.engine.control import Autoscaler
 from repro.fleet.arrivals import (
     ArrivalProcess,
     BurstyArrivals,
     PoissonArrivals,
     TraceArrivals,
 )
-from repro.fleet.autoscalers import FleetAutoscaler, fleet_autoscaler
+from repro.fleet.autoscalers import fleet_autoscaler
 from repro.fleet.engine import FleetSimulation
 from repro.fleet.policies import AllocationPolicy, allocation_policy
 from repro.fleet.result import FleetResult
@@ -84,7 +85,7 @@ def run_fleet(
     *,
     arrivals: ArrivalProcess,
     policy: AllocationPolicy | str = "fair-share",
-    autoscaler: FleetAutoscaler | str = "global-wire",
+    autoscaler: Autoscaler | str = "global-wire",
     charging_unit: float = 900.0,
     seed: int = 0,
     site: CloudSite | None = None,
@@ -113,9 +114,9 @@ def run_fleet(
     """
     if isinstance(policy, str):
         policy = allocation_policy(policy)
-    if isinstance(autoscaler, str):
-        autoscaler = fleet_autoscaler(autoscaler)
     site = site if site is not None else exogeni_site()
+    if isinstance(autoscaler, str):
+        autoscaler = fleet_autoscaler(autoscaler, site)
     catalog = (
         dict(workload_catalog)
         if workload_catalog is not None

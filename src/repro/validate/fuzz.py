@@ -32,6 +32,7 @@ from typing import Iterable, Sequence
 
 from repro.cloud.faults import parse_chaos_spec
 from repro.experiments.harness import policy_factories, run_setting
+from repro.fleet.autoscalers import fleet_autoscaler_factories
 from repro.fleet.harness import make_arrivals, run_fleet
 from repro.validate.checker import InvariantChecker
 from repro.workloads import table1_specs
@@ -120,11 +121,7 @@ def fleet_grid(
 ) -> Iterable[Scenario]:
     """Arrival processes x global autoscalers x chaos specs x seeds."""
     arrivals = ("poisson",) if quick else ("poisson", "bursty", "trace")
-    autoscalers = (
-        ("global-wire",)
-        if quick
-        else ("global-wire", "global-static", "global-reactive")
-    )
+    autoscalers = ("global-wire",) if quick else tuple(fleet_autoscaler_factories())
     chaos_specs = CHAOS_SPECS[:2] if quick else CHAOS_SPECS
     for arrival in arrivals:
         for autoscaler in autoscalers:

@@ -11,26 +11,24 @@ from __future__ import annotations
 
 import pytest
 
-from repro.autoscalers import WireAutoscaler, full_site
+from repro.autoscalers import PureReactiveAutoscaler, WireAutoscaler, full_site
 from repro.cloud import exogeni_site
 from repro.engine.simulator import Simulation
 from repro.engine.transfer import NoTransferModel
 from repro.fleet import (
     FifoPolicy,
     FleetSimulation,
-    FleetStaticAutoscaler,
-    GlobalWireAutoscaler,
     Submission,
+    fleet_autoscaler,
 )
 from repro.workloads import table1_specs
 
-#: (single-run policy, fleet autoscaler) pairs that size the pool alike
+#: (single-run policy, fleet autoscaler) pairs that size the pool alike;
+#: the fleet side is built from the fleet name table
 PAIRS = {
-    "wire": (lambda site: WireAutoscaler(), lambda site: GlobalWireAutoscaler()),
-    "full-site": (
-        lambda site: full_site(site),
-        lambda site: FleetStaticAutoscaler(),
-    ),
+    "wire": (lambda site: WireAutoscaler(), "global-wire"),
+    "full-site": (lambda site: full_site(site), "global-static"),
+    "pure-reactive": (lambda site: PureReactiveAutoscaler(), "global-reactive"),
 }
 
 
@@ -49,7 +47,7 @@ def test_one_tenant_fleet_equals_single_run(workload, unit, pair):
                     workflow_seed=0)],
         {workload: workflow},
         site,
-        fleet_policy(site),
+        fleet_autoscaler(fleet_policy, site),
         FifoPolicy(),
         unit,
         transfer_model=NoTransferModel(),

@@ -11,10 +11,10 @@ from repro.cloud.faults import parse_chaos_spec
 from repro.fleet import (
     FifoPolicy,
     FleetSimulation,
-    FleetStaticAutoscaler,
     PoissonArrivals,
     Submission,
     TraceArrivals,
+    fleet_autoscaler,
     run_fleet,
 )
 from repro.workloads import table1_specs
@@ -150,7 +150,7 @@ class TestSchedulerBoost:
                 [Submission("t00", "genome-S", 0.0, 0)],
                 {"genome-S": workflow},
                 site,
-                FleetStaticAutoscaler(),
+                fleet_autoscaler("global-static", site),
                 FifoPolicy(),
                 900.0,
                 boost_k=boost_k,
