@@ -64,7 +64,7 @@ __all__ = [
 #: leading bytes of every checkpoint file
 CHECKPOINT_MAGIC = b"WIRECKPT"
 #: bumped whenever the on-disk layout or pickled engine schema changes
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointError(RuntimeError):

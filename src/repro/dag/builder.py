@@ -7,6 +7,8 @@ all-to-all stage barriers, and chains.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from repro.dag.task import Task
 from repro.dag.workflow import Workflow
 
@@ -42,12 +44,13 @@ class WorkflowBuilder:
         """
         if task.task_id in self._task_ids:
             raise ValueError(f"duplicate task id {task.task_id!r}")
-        for parent in parents:
-            if parent not in self._task_ids:
-                raise ValueError(f"unknown parent task {parent!r}")
+        if not self._task_ids.issuperset(parents):
+            for parent in parents:
+                if parent not in self._task_ids:
+                    raise ValueError(f"unknown parent task {parent!r}")
         self._tasks.append(task)
         self._task_ids.add(task.task_id)
-        self._edges.extend((parent, task.task_id) for parent in parents)
+        self._edges.extend(zip(parents, repeat(task.task_id)))
         return task.task_id
 
     def add_edge(self, parent: str, child: str) -> None:

@@ -173,7 +173,10 @@ class EngineCore:
         self._started = False
         self._now = 0.0
         self._events_processed = 0
-        self._draining: set[str] = set()
+        #: draining instance id -> its scheduled INSTANCE_TERMINATE
+        self._draining: dict[str, Event] = {}
+        #: running instance id -> its not-yet-fired INSTANCE_REVOKED
+        self._pending_revocation: dict[str, Event] = {}
         self._pending_task_event: dict[str, Event] = {}
         #: (instance_id, tenant index) -> busy slot-seconds accrued
         self._tenant_busy: dict[tuple[str, int], float] = {}
@@ -478,12 +481,13 @@ class EngineCore:
         for scoped in sorted(instance.occupants):
             self._kill_occupant(instance, scoped)
         instance.mark_terminated(self._now)
-        if self._chaos_injector is not None:
-            # a planned release retracts any not-yet-fired revocation
-            self.events.cancel_for_payload(instance_id, kind=EventKind.INSTANCE_REVOKED)
+        # a planned release retracts any not-yet-fired revocation
+        revocation = self._pending_revocation.pop(instance_id, None)
+        if revocation is not None:
+            self.events.cancel(revocation)
         if self._trace:
             self._emit_instance_end(instance, self._now, "terminated")
-        self._draining.discard(instance_id)
+        self._draining.pop(instance_id, None)
         self._record_pool_change(self._now)
         self._dispatch()
 
@@ -509,7 +513,9 @@ class EngineCore:
         if delay is not None:
             # The provider will preempt this instance unless the run (or
             # a planned release) gets there first.
-            self.events.push(self._now + delay, EventKind.INSTANCE_REVOKED, iid)
+            self._pending_revocation[iid] = self.events.push(
+                self._now + delay, EventKind.INSTANCE_REVOKED, iid
+            )
 
     def _on_instance_revoked(self, instance_id: str) -> None:
         """The provider preempts ``instance_id`` (spot-style revocation).
@@ -519,6 +525,7 @@ class EngineCore:
         scheduled release is retracted, the instance is flagged
         ``revoked``, and billing stops at the revocation boundary.
         """
+        self._pending_revocation.pop(instance_id, None)
         instance = self.pool.get(instance_id)
         if instance.state is not InstanceState.RUNNING:
             return  # defensive: planned releases cancel revocation events
@@ -527,11 +534,9 @@ class EngineCore:
         lost_occupancy = 0.0
         for scoped in occupants:
             lost_occupancy += self._kill_occupant(instance, scoped)
-        if instance_id in self._draining:
-            self.events.cancel_for_payload(
-                instance_id, kind=EventKind.INSTANCE_TERMINATE
-            )
-            self._draining.discard(instance_id)
+        terminate = self._draining.pop(instance_id, None)
+        if terminate is not None:
+            self.events.cancel(terminate)
         instance.revoked = True
         instance.mark_terminated(self._now)
         self._count_fault("revocations")
@@ -767,8 +772,9 @@ class EngineCore:
             if remaining <= self.site.min_instances:
                 break
             at = max(order.at, self._now)
-            self._draining.add(order.instance_id)
-            self.events.push(at, EventKind.INSTANCE_TERMINATE, order.instance_id)
+            self._draining[order.instance_id] = self.events.push(
+                at, EventKind.INSTANCE_TERMINATE, order.instance_id
+            )
             remaining -= 1
             applied += 1
         return applied

@@ -38,21 +38,24 @@ class EventKind(enum.Enum):
     PROVISION_RETRY = "provision_retry"  # backoff elapsed; re-issue a launch
     WORKFLOW_ARRIVAL = "workflow_arrival"  # a tenant submits a workflow (fleet)
 
+    #: same-timestamp ordering class (lower fires first); a plain
+    #: per-member attribute, so a push reads it without hashing the member
+    _priority: int
+
     @property
     def priority(self) -> int:
         """Same-timestamp ordering class (lower fires first)."""
-        return _PRIORITY[self]
+        return self._priority
 
 
-#: same-timestamp ordering classes (lower fires first); a flat table so
-#: the per-push cost is one dict hit instead of an enum property call
-_PRIORITY = {kind: 0 for kind in EventKind}
-_PRIORITY[EventKind.INSTANCE_TERMINATE] = 1
+for _kind in EventKind:
+    _kind._priority = 0
+EventKind.INSTANCE_TERMINATE._priority = 1
 # A revocation at time t must not beat a completion at time t: the task
 # legitimately finished before the provider pulled the plug. Same
 # ordering class as a planned release.
-_PRIORITY[EventKind.INSTANCE_REVOKED] = 1
-_PRIORITY[EventKind.CONTROLLER_TICK] = 2
+EventKind.INSTANCE_REVOKED._priority = 1
+EventKind.CONTROLLER_TICK._priority = 2
 
 
 @pickle_by_slots
@@ -74,13 +77,24 @@ class Event:
             raise ValueError(f"event time must be >= 0, got {self.time}")
 
 
+#: ``push`` builds events through the slot descriptors, past the
+#: frozen dataclass ``__init__`` and its per-field ``object.__setattr__``
+_new_event = object.__new__
+_set_time = Event.time.__set__  # type: ignore[attr-defined]
+_set_seq = Event.seq.__set__  # type: ignore[attr-defined]
+_set_kind = Event.kind.__set__  # type: ignore[attr-defined]
+_set_payload = Event.payload.__set__  # type: ignore[attr-defined]
+
+
 @dataclass
 class EventQueue:
     """A deterministic min-heap of events.
 
     Cancellation is lazy (cancelled events stay heap-resident until
     popped) and idempotent: cancelling an event that was already popped,
-    or cancelling twice, is a no-op, so ``__len__`` stays exact.
+    or cancelling twice, is a no-op, so ``__len__`` stays exact. The
+    queue keeps no index by subject: whoever needs to retract an event
+    keeps the handle :meth:`push` returned.
     """
 
     _heap: list[tuple[float, int, int, Event]] = field(default_factory=list)
@@ -88,34 +102,20 @@ class EventQueue:
     _cancelled: set[int] = field(default_factory=set)
     #: seqs currently in the heap and not cancelled
     _live: set[int] = field(default_factory=set)
-    #: live events grouped by payload, so cancelling everything that
-    #: belongs to one subject (e.g. a revoked instance) is O(events on
-    #: that subject) instead of a full-heap scan; unhashable payloads
-    #: are simply not indexed
-    _by_payload: dict[Any, set[Event]] = field(default_factory=dict)
 
     def push(self, time: float, kind: EventKind, payload: Any = None) -> Event:
         """Schedule an event and return it (its ``seq`` allows cancellation)."""
-        event = Event(time=time, seq=next(self._counter), kind=kind, payload=payload)
-        heapq.heappush(
-            self._heap, (event.time, _PRIORITY[kind], event.seq, event)
-        )
-        self._live.add(event.seq)
-        try:
-            self._by_payload.setdefault(payload, set()).add(event)
-        except TypeError:
-            pass  # unhashable payload: not payload-cancellable
+        if time < 0:
+            raise ValueError(f"event time must be >= 0, got {time}")
+        seq = next(self._counter)
+        event = _new_event(Event)
+        _set_time(event, time)
+        _set_seq(event, seq)
+        _set_kind(event, kind)
+        _set_payload(event, payload)
+        heapq.heappush(self._heap, (time, kind._priority, seq, event))
+        self._live.add(seq)
         return event
-
-    def _unindex(self, event: Event) -> None:
-        try:
-            bucket = self._by_payload.get(event.payload)
-        except TypeError:
-            return
-        if bucket is not None:
-            bucket.discard(event)
-            if not bucket:
-                del self._by_payload[event.payload]
 
     def cancel(self, event: Event) -> None:
         """Mark ``event`` so it is skipped when popped (lazy deletion).
@@ -127,39 +127,15 @@ class EventQueue:
         if event.seq in self._live:
             self._live.discard(event.seq)
             self._cancelled.add(event.seq)
-            self._unindex(event)
-
-    def cancel_for_payload(
-        self, payload: Any, kind: EventKind | None = None
-    ) -> int:
-        """Cancel every live event whose payload equals ``payload``.
-
-        Returns the number of events cancelled. When ``kind`` is given,
-        only events of that kind are cancelled. This is how a revoked
-        instance retracts its queued completions/terminations without
-        scanning the whole heap.
-        """
-        bucket = self._by_payload.get(payload)
-        if not bucket:
-            return 0
-        victims = [
-            event
-            for event in bucket
-            if kind is None or event.kind is kind
-        ]
-        for event in victims:
-            self.cancel(event)
-        return len(victims)
 
     def pop(self) -> Event:
         """Remove and return the earliest pending event."""
         while self._heap:
-            _, _, _, event = heapq.heappop(self._heap)
-            if event.seq in self._cancelled:
-                self._cancelled.discard(event.seq)
+            _, _, seq, event = heapq.heappop(self._heap)
+            if seq in self._cancelled:
+                self._cancelled.discard(seq)
                 continue
-            self._live.discard(event.seq)
-            self._unindex(event)
+            self._live.discard(seq)
             return event
         raise IndexError("pop from empty EventQueue")
 

@@ -161,7 +161,7 @@ class FrameworkMaster:
         self._state[task_id] = TaskExecState.COMPLETED
         self._completed_count += 1
         newly_ready: list[str] = []
-        for child in sorted(self.workflow.children(task_id)):
+        for child in self.workflow.sorted_children[task_id]:
             self._unfinished_parents[child] -= 1
             if self._unfinished_parents[child] == 0:
                 self._state[child] = TaskExecState.READY

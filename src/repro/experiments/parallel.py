@@ -43,6 +43,7 @@ from typing import Callable, Mapping, Sequence
 
 from repro.cloud.faults import ChaosSpec
 from repro.cloud.site import CloudSite, exogeni_site
+from repro.dag.workflow import Workflow
 from repro.engine.control import Autoscaler
 from repro.experiments.campaign import (
     CampaignStore,
@@ -154,32 +155,51 @@ def _factory_payload(
     )
 
 
-def _run_cell(
-    key: CellKey,
-    spec: StagedWorkflowSpec,
-    payload: tuple[str, bytes | str | Callable[[], Autoscaler]],
-    site: CloudSite,
-    trace_dir: str | None = None,
-    chaos: ChaosSpec | None = None,
-    validate: object = None,
-) -> CellRecord:
-    """Execute one cell, return its summary record.
+class _Realizations:
+    """A campaign's realized DAGs of the workflow its cells are now on.
 
-    Each cell traces to its own key-derived file, so concurrent workers
-    never share a file handle and a retried attempt overwrites cleanly.
-    ``chaos`` is plain frozen data, so it crosses the process boundary by
-    ordinary pickling and the cell's fault draws are identical to an
-    inline run's.
+    A :class:`~repro.dag.workflow.Workflow` is immutable, so every cell
+    of a ``(workflow, seed)`` pair shares one realization, cached
+    ``stage_of``/``sorted_children`` maps included. Campaign order is
+    workflow-major, so moving to the next workflow drops the previous
+    one's DAGs. It rides in the campaign context: each worker holds its
+    own copy, and it dies with the campaign.
     """
-    mode, blob = payload
+
+    def __init__(self) -> None:
+        self._workflow: str | None = None
+        self._by_seed: dict[int, Workflow] = {}
+
+    def get(self, key: CellKey, spec: StagedWorkflowSpec) -> Workflow:
+        if key.workflow != self._workflow:
+            self._workflow, self._by_seed = key.workflow, {}
+        workflow = self._by_seed.get(key.seed)
+        if workflow is None:
+            workflow = self._by_seed[key.seed] = spec.generate(key.seed)
+        return workflow
+
+
+def _cell_worker(context: tuple, key: CellKey) -> CellRecord:
+    """Backend worker entry point: one cell against the shared context.
+
+    The context tuple (specs, realizations, factory payloads, site,
+    trace dir, chaos, validate) crosses the process boundary once per
+    worker via the backend's context-shipping channel instead of being
+    re-pickled for every submitted cell. Each cell traces to its own
+    key-derived file, so concurrent workers never share a file handle
+    and a retried attempt overwrites cleanly. ``chaos`` is plain frozen
+    data, so the cell's fault draws are identical to an inline run's.
+    """
+    specs, realized, payloads, site, trace_dir, chaos, validate = context
+    mode, blob = payloads[key.policy]
     if mode == "direct":  # serial backend: no process boundary to cross
         factory = blob
     elif mode == "pickle":
-        factory = pickle.loads(blob)  # type: ignore[arg-type]
+        factory = pickle.loads(blob)
     else:
         factory = policy_factories(site, include_oracle=True)[blob]
     result = run_setting(
-        spec,
+        realized.get(key, specs[key.workflow]),
         factory,
         key.charging_unit,
         seed=key.seed,
@@ -191,26 +211,6 @@ def _run_cell(
         validate=validate,
     )
     return record_from_result(key, result)
-
-
-def _cell_worker(context: tuple, key: CellKey) -> CellRecord:
-    """Backend worker entry point: one cell against the shared context.
-
-    The context tuple (specs, factory payloads, site, trace dir, chaos,
-    validate) crosses the process boundary once per worker via the
-    backend's context-shipping channel instead of being re-pickled for
-    every submitted cell.
-    """
-    specs, payloads, site, trace_dir, chaos, validate = context
-    return _run_cell(
-        key,
-        specs[key.workflow],
-        payloads[key.policy],
-        site,
-        trace_dir,
-        chaos,
-        validate,
-    )
 
 
 def run_campaign_parallel(
@@ -242,6 +242,9 @@ def run_campaign_parallel(
     gives every executed cell its own JSONL telemetry file (written by
     the worker that ran the cell); the per-cell trace bytes match a
     serial run's because the engine is deterministic per cell key.
+    Each worker realizes a ``(workflow, seed)`` pair once and runs the
+    pair's other cells on the same DAG; :func:`run_campaign` stays the
+    reference that realizes every cell afresh.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -262,7 +265,10 @@ def run_campaign_parallel(
             name: _factory_payload(name, factory)
             for name, factory in policies.items()
         }
-    context = (dict(specs), payloads, the_site, the_trace_dir, chaos, validate)
+    context = (
+        dict(specs), _Realizations(), payloads, the_site, the_trace_dir, chaos,
+        validate,
+    )
 
     executed = 0
     failed: list[FailedCell] = []

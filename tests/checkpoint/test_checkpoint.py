@@ -89,6 +89,20 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
+    def test_rejects_version_2(self, small_fleet, tmp_path):
+        # version 2 pickled the event queue's payload index and a set of
+        # draining ids; this build's engine state has neither
+        assert CHECKPOINT_VERSION == 3
+        path = interrupted_checkpoint(small_fleet, tmp_path)
+        data = path.read_bytes()
+        current = b'"version": 3'
+        assert data.count(current) == 1
+        path.write_bytes(data.replace(current, b'"version": 2'))
+        with pytest.raises(CheckpointError, match="checkpoint version 2 is not"):
+            read_checkpoint_info(path)
+        with pytest.raises(CheckpointError, match="version"):
+            load_checkpoint(path)
+
     def test_missing_file_is_a_checkpoint_error(self, tmp_path):
         with pytest.raises(CheckpointError, match="not found"):
             load_checkpoint(tmp_path / "nope.ckpt")

@@ -39,9 +39,9 @@ class TestEventQueuePickle:
         q.push(10.0, EventKind.INSTANCE_TERMINATE, "i-1")
         q.push(5.0, EventKind.STAGE_IN_DONE, "t01/w0/s0/y")
         q.push(20.0, EventKind.CONTROLLER_TICK)
-        q.push(7.0, EventKind.EXEC_DONE, "i-2")
-        q.cancel(a)  # lazy-cancelled event stays heap-resident
-        q.cancel_for_payload("i-2")  # exercises the payload index
+        b = q.push(7.0, EventKind.EXEC_DONE, "i-2")
+        q.cancel(a)  # lazy-cancelled events stay heap-resident
+        q.cancel(b)
         return q
 
     def test_pop_order_survives_pickle(self):

@@ -12,7 +12,8 @@ import pytest
 
 from repro.cloud.faults import NO_CHAOS, ChaosSpec, RetryPolicy
 from repro.engine import ScalingDecision, Simulation
-from repro.engine.control import Autoscaler
+from repro.engine.control import Autoscaler, TerminationOrder
+from repro.engine.events import EventKind
 from repro.workloads import chain_workflow, single_stage_workflow
 
 
@@ -157,6 +158,99 @@ class TestRevocation:
         assert result.completed
         assert "revocations" not in result.cloud_faults
         assert not any(i.revoked for i in sim.pool)
+
+
+class ReleaseIdleOnce(Autoscaler):
+    """Pool of 2; the first tick releases every idle instance ``delay``
+    seconds later."""
+
+    name = "release-idle-once"
+
+    def __init__(self, delay: float) -> None:
+        self.delay = delay
+        self.fired = False
+
+    def initial_pool_size(self, site) -> int:
+        return 2
+
+    def plan(self, obs) -> ScalingDecision:
+        if self.fired:
+            return ScalingDecision()
+        self.fired = True
+        return ScalingDecision(
+            terminations=tuple(
+                TerminationOrder(i.instance_id, obs.now + self.delay)
+                for i in obs.steerable_instances()
+                if not i.occupants
+            )
+        )
+
+
+def spy_on_queue(sim: Simulation) -> tuple[list, list]:
+    """Record every event the run cancels and every event it pops."""
+    cancelled: list = []
+    popped: list = []
+    cancel, pop = sim.events.cancel, sim.events.pop
+
+    def spy_cancel(event):
+        cancelled.append(event)
+        cancel(event)
+
+    def spy_pop():
+        event = pop()
+        popped.append(event)
+        return event
+
+    sim.events.cancel = spy_cancel
+    sim.events.pop = spy_pop
+    return cancelled, popped
+
+
+class TestEngineHeldHandles:
+    """The engine retracts the two chaos-cancellable instance events
+    through the handles push returned, not through the queue."""
+
+    def test_planned_release_retracts_pending_revocation(self, small_site):
+        # one 500s task busies the first instance; the idle second one
+        # is released at the first tick, while its revocation (t=300)
+        # is still ahead
+        wf = single_stage_workflow(1, runtime=500.0)
+        sim = script(
+            Simulation(wf, small_site, ReleaseIdleOnce(0.0), 60.0, chaos=ENABLED),
+            revocations=[None, 300.0],
+        )
+        cancelled, popped = spy_on_queue(sim)
+        result = sim.run()
+        assert result.completed and result.makespan >= 500.0
+        released = [e for e in popped if e.kind is EventKind.INSTANCE_TERMINATE]
+        assert len(released) == 1
+        retracted = [e for e in cancelled if e.kind is EventKind.INSTANCE_REVOKED]
+        assert [(e.payload, e.time) for e in retracted] == [
+            (released[0].payload, 300.0)
+        ]
+        assert not any(e.kind is EventKind.INSTANCE_REVOKED for e in popped)
+        assert "revocations" not in result.cloud_faults
+        assert sim._pending_revocation == {} and sim._draining == {}
+
+    def test_revocation_retracts_draining_terminate(self, small_site):
+        # the idle instance is ordered released at tick + 400s, but the
+        # provider revokes it first (t=200)
+        wf = single_stage_workflow(1, runtime=800.0)
+        sim = script(
+            Simulation(wf, small_site, ReleaseIdleOnce(400.0), 60.0, chaos=ENABLED),
+            revocations=[None, 200.0],
+        )
+        cancelled, popped = spy_on_queue(sim)
+        result = sim.run()
+        assert result.completed
+        assert result.cloud_faults["revocations"] == 1
+        revoked = [e for e in popped if e.kind is EventKind.INSTANCE_REVOKED]
+        assert len(revoked) == 1 and revoked[0].time == 200.0
+        retracted = [e for e in cancelled if e.kind is EventKind.INSTANCE_TERMINATE]
+        assert [e.payload for e in retracted] == [revoked[0].payload]
+        assert retracted[0].time > 200.0
+        assert not any(e.kind is EventKind.INSTANCE_TERMINATE for e in popped)
+        assert sim._pending_revocation == {} and sim._draining == {}
 
 
 class TestProvisioning:

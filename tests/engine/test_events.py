@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import EventKind, EventQueue
+from repro.engine import Event, EventKind, EventQueue
 
 
 class TestOrdering:
@@ -36,6 +36,37 @@ class TestOrdering:
         q = EventQueue()
         with pytest.raises(ValueError):
             q.push(-1.0, EventKind.EXEC_DONE, "x")
+
+    def test_unhashable_payload_queues(self):
+        # the queue never hashes payloads, so any object can ride along
+        q = EventQueue()
+        q.push(1.0, EventKind.EXEC_DONE, ["not", "hashable"])
+        assert q.pop().payload == ["not", "hashable"]
+
+    def test_same_time_fires_by_kind_priority(self):
+        # completions, then releases and revocations, then the tick
+        q = EventQueue()
+        q.push(1.0, EventKind.CONTROLLER_TICK, "tick")
+        q.push(1.0, EventKind.INSTANCE_REVOKED, "revoke")
+        q.push(1.0, EventKind.INSTANCE_TERMINATE, "release")
+        q.push(1.0, EventKind.EXEC_DONE, "done")
+        assert [q.pop().payload for _ in range(4)] == [
+            "done", "revoke", "release", "tick"
+        ]
+        assert [k.priority for k in (
+            EventKind.EXEC_DONE, EventKind.INSTANCE_TERMINATE, EventKind.CONTROLLER_TICK
+        )] == [0, 1, 2]
+
+    def test_pushed_event_equals_a_constructed_one(self):
+        # push builds events past the dataclass __init__; they must be
+        # the same value objects a direct construction gives
+        q = EventQueue()
+        q.push(0.0, EventKind.CONTROLLER_TICK)
+        event = q.push(2.5, EventKind.EXEC_DONE, "t1")
+        assert event == Event(2.5, 1, EventKind.EXEC_DONE, "t1")
+        assert hash(event) == hash(Event(2.5, 1, EventKind.EXEC_DONE, "t1"))
+        with pytest.raises(AttributeError):
+            event.time = 3.0  # type: ignore[misc]
 
 
 class TestCancellation:
@@ -119,60 +150,3 @@ class TestCancellationBookkeeping:
             q.cancel(e)
         assert len(q) == 0
         assert not q
-
-
-class TestCancelForPayload:
-    """The payload index behind O(per-instance) chaos cancellation."""
-
-    def test_cancels_every_event_with_payload(self):
-        q = EventQueue()
-        q.push(1.0, EventKind.EXEC_DONE, "i-0")
-        q.push(2.0, EventKind.STAGE_OUT_DONE, "i-0")
-        survivor = q.push(3.0, EventKind.EXEC_DONE, "i-1")
-        assert q.cancel_for_payload("i-0") == 2
-        assert len(q) == 1
-        assert q.pop() is survivor
-
-    def test_kind_filter_only_hits_matching_kind(self):
-        q = EventQueue()
-        terminate = q.push(5.0, EventKind.INSTANCE_TERMINATE, "i-0")
-        q.push(6.0, EventKind.INSTANCE_REVOKED, "i-0")
-        assert q.cancel_for_payload("i-0", kind=EventKind.INSTANCE_REVOKED) == 1
-        assert len(q) == 1
-        assert q.pop() is terminate
-
-    def test_unknown_payload_is_a_noop(self):
-        q = EventQueue()
-        q.push(1.0, EventKind.EXEC_DONE, "i-0")
-        assert q.cancel_for_payload("never-seen") == 0
-        assert len(q) == 1
-
-    def test_popped_events_leave_the_index(self):
-        q = EventQueue()
-        q.push(1.0, EventKind.EXEC_DONE, "i-0")
-        q.push(2.0, EventKind.EXEC_DONE, "i-0")
-        q.pop()
-        assert q.cancel_for_payload("i-0") == 1
-        assert len(q) == 0
-
-    def test_cancelled_events_leave_the_index(self):
-        q = EventQueue()
-        e = q.push(1.0, EventKind.EXEC_DONE, "i-0")
-        q.push(2.0, EventKind.EXEC_DONE, "i-0")
-        q.cancel(e)
-        assert q.cancel_for_payload("i-0") == 1
-        assert len(q) == 0
-
-    def test_unhashable_payload_still_queues(self):
-        # list payloads can't be indexed, but push/pop must still work
-        q = EventQueue()
-        q.push(1.0, EventKind.EXEC_DONE, ["not", "hashable"])
-        assert q.pop().payload == ["not", "hashable"]
-
-    def test_reused_payload_after_cancel_for_payload(self):
-        q = EventQueue()
-        q.push(1.0, EventKind.EXEC_DONE, "i-0")
-        q.cancel_for_payload("i-0")
-        q.push(2.0, EventKind.EXEC_DONE, "i-0")
-        assert q.cancel_for_payload("i-0") == 1
-        assert len(q) == 0

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import os
 import signal
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from repro.autoscalers import PureReactiveAutoscaler, WireAutoscaler
 from repro.experiments.campaign import CampaignStore, run_campaign
+from repro.experiments.harness import policy_factories, run_setting
 from repro.experiments.parallel import (
     FailedCell,
     _factory_payload,
@@ -55,6 +58,30 @@ class _BoomAutoscaler:
 
     def __reduce__(self):
         return (_BoomAutoscaler, ())
+
+
+class _CountingSpec:
+    """Picklable spec wrapper that logs every ``generate`` call as one
+    ``"<workflow> <seed>"`` line in a per-process file under ``log_dir``,
+    so realizations made in worker processes can be counted."""
+
+    def __init__(self, name: str, spec, log_dir: Path) -> None:
+        self.name = name
+        self.spec = spec
+        self.log_dir = log_dir
+
+    def generate(self, seed: int):
+        with open(self.log_dir / f"{os.getpid()}.log", "a") as fh:
+            fh.write(f"{self.name} {seed}\n")
+        return self.spec.generate(seed)
+
+
+def _realizations(log_dir: Path) -> dict[str, Counter]:
+    """Per-process counts of ``(workflow, seed)`` realizations."""
+    return {
+        path.stem: Counter(tuple(line.split()) for line in path.read_text().splitlines())
+        for path in log_dir.glob("*.log")
+    }
 
 
 @pytest.fixture
@@ -129,6 +156,91 @@ class TestDeterminism:
         clean_path = tmp_path / "clean.json"
         run_campaign(CampaignStore(clean_path), **matrix)
         assert clean_path.read_bytes() != serial_path.read_bytes()
+
+
+class TestRealizeOnce:
+    """A campaign realizes each (workflow, seed) once per worker and
+    shares the immutable DAG across that pair's cells."""
+
+    @pytest.fixture
+    def four_policy_matrix(self):
+        return dict(
+            specs={"tpch1-S": tpch1("S"), "tpch6-S": tpch6("S")},
+            policies=policy_factories(),
+            charging_units=[60.0, 900.0],
+            seeds=[0, 1],
+        )
+
+    def counting(self, matrix, log_dir: Path) -> dict:
+        log_dir.mkdir()
+        specs = {
+            name: _CountingSpec(name, spec, log_dir)
+            for name, spec in matrix["specs"].items()
+        }
+        return dict(matrix, specs=specs)
+
+    @pytest.mark.parametrize(
+        "backend,jobs", [("serial", 1), ("process", 2), ("workqueue", 2)]
+    )
+    def test_each_pair_realized_at_most_once_per_worker(
+        self, tmp_path, four_policy_matrix, backend, jobs
+    ):
+        serial_path = tmp_path / "serial.json"
+        run_campaign(CampaignStore(serial_path), **four_policy_matrix)
+
+        log_dir = tmp_path / "realized"
+        path = tmp_path / f"campaign-{backend}.json"
+        _, executed, failed = run_campaign_parallel(
+            CampaignStore(path),
+            **self.counting(four_policy_matrix, log_dir),
+            jobs=jobs,
+            backend=backend,
+            workqueue_dir=tmp_path / "queue" if backend == "workqueue" else None,
+        )
+        assert failed == []
+        assert executed == 32  # 2 wf x 4 policies x 2 units x 2 seeds
+        assert path.read_bytes() == serial_path.read_bytes()
+
+        per_worker = _realizations(log_dir)
+        assert 1 <= len(per_worker) <= jobs
+        pairs = {(wf, str(seed)) for wf in ("tpch1-S", "tpch6-S") for seed in (0, 1)}
+        for counts in per_worker.values():
+            assert set(counts) <= pairs
+            assert max(counts.values()) == 1, counts
+        assert set().union(*per_worker.values()) == pairs
+        if backend == "serial":
+            assert os.getpid() in map(int, per_worker)
+
+    def test_realize_every_cell_reference_is_unchanged(
+        self, tmp_path, four_policy_matrix
+    ):
+        # run_campaign stays the serial reference that realizes per cell
+        log_dir = tmp_path / "realized"
+        _, executed = run_campaign(
+            CampaignStore(tmp_path / "c.json"),
+            **self.counting(four_policy_matrix, log_dir),
+        )
+        assert executed == 32
+        (counts,) = _realizations(log_dir).values()
+        assert sum(counts.values()) == 32
+
+    def test_shared_workflow_survives_every_policy(self):
+        spec = tpch1("S")
+        shared = spec.generate(3)
+
+        def shape(wf) -> tuple:
+            return (
+                wf.tasks,
+                {tid: wf.parents(tid) for tid in wf.tasks},
+                {tid: wf.children(tid) for tid in wf.tasks},
+                dict(wf.stage_of),
+                wf.sorted_children,
+            )
+
+        for name, factory in policy_factories().items():
+            result = run_setting(shared, factory, 60.0, seed=3)
+            assert result.completed, name
+            assert shape(shared) == shape(spec.generate(3)), name
 
 
 class TestResume:
